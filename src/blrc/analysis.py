@@ -12,7 +12,15 @@ organized around the parity blocks used by a plan:
   * for a fixed T, the data blocks that can be left unfetched form a small
     set bounded by rank arguments, so the per-T search space is tiny.
 
-Every candidate is verified by an exact rank test, so the result is
+What depends on T alone is kept in one table per T and shared by every
+erasure pattern a search object answers: the rows restricted to T, their
+supports, the rows two parities of T cover, and, filled in only when a
+query reads them, a direction id per restricted row (proportional rows
+share one) and plane membership keyed by direction ids.  A pattern then
+only filters these tables by its pool of rows.  The tables die with their
+search object.
+
+Every candidate is verified by an exact span test, so the result is
 identical to a plain size-ordered search over all survivor subsets (the
 test suite checks this against an independent all-subsets oracle).
 """
@@ -31,7 +39,7 @@ from .code import (
     minimum_distance,
     update_complexity,
 )
-from .linalg import GfMatrix, span_coefficients
+from .linalg import Basis, GfMatrix, insert_row, span_coefficients
 
 EXHAUSTIVE_LIMIT = 24
 """Largest code length for which repair plans are certified minimal."""
@@ -96,8 +104,128 @@ def normalize_pattern(code: SystematicCode, erased) -> ErasurePattern:
     return pattern
 
 
+class _ParitySet:
+    """Tables of one parity set T, shared by every erasure pattern.
+
+    restr[i] is data row i restricted to the columns of T, smask[i] its
+    support within T, t_mask the rows T covers and multi the rows at least
+    two parities of T cover.  The direction and plane tables fill in on
+    demand, so a one-shot query pays only for what it reads.
+    """
+
+    __slots__ = (
+        "field", "t_mask", "multi", "restr", "smask",
+        "dir_of", "dir_id", "dirs", "dmask", "plane",
+    )
+
+    def __init__(self, P: list[list[int]], col_mask: list[int], T, field):
+        self.field = field
+        t_mask = 0
+        multi = 0
+        for t in T:
+            multi |= t_mask & col_mask[t]
+            t_mask |= col_mask[t]
+        self.t_mask = t_mask
+        self.multi = multi
+        self.restr = {}
+        self.smask = {}
+        for i in _bits(t_mask):
+            row = [P[i][t] for t in T]
+            self.restr[i] = row
+            self.smask[i] = sum(1 << j for j, x in enumerate(row) if x)
+        self.dir_of: dict[int, int] = {}
+        self.dir_id: dict[tuple[int, ...], int] = {}
+        self.dirs: list[tuple[int, ...]] = []
+        self.dmask: list[int] = []
+        self.plane: dict[tuple[int, int, int], bool] = {}
+
+    def direction(self, i: int) -> int:
+        """Id of the direction of restr[i]: rows get the same id exactly
+        when they are proportional."""
+        d = self.dir_of.get(i)
+        if d is None:
+            exp, log = self.field._exp, self.field._log
+            q1 = self.field.order - 1
+            row = self.restr[i]
+            inv_l = q1 - log[next(x for x in row if x)]
+            key = tuple(exp[log[x] + inv_l] if x else 0 for x in row)
+            d = self.dir_id.setdefault(key, len(self.dirs))
+            if d == len(self.dirs):
+                self.dirs.append(key)
+                self.dmask.append(self.smask[i])
+            self.dir_of[i] = d
+        return d
+
+    def in_plane(self, a: int, b: int, c: int) -> bool:
+        """True iff direction c lies in the span of directions a != b."""
+        key = (a, b, c) if a < b else (b, a, c)
+        hit = self.plane.get(key)
+        if hit is None:
+            basis: Basis = []
+            for d in key:
+                insert_row(basis, self.dirs[d], self.field)
+            hit = self.plane[key] = len(basis) == 2
+        return hit
+
+    def unfetch_families(self, pool, kappa: int) -> list[list[int]]:
+        """Candidate families of unfetchable rows.
+
+        A row set spanning <= kappa dimensions takes a basis from its own
+        members, so it is contained in one of the families below: for
+        kappa = 1 a direction group (pairwise proportional rows), for
+        kappa = 2 the rows lying in the plane of two direction groups, and
+        beyond that the support-mask relaxation (any spanned row's support
+        sits inside the union of the basis supports).
+        """
+        if kappa <= 0 or not pool:
+            return []
+        groups: dict[int, list[int]] = {}
+        for i in pool:
+            groups.setdefault(self.direction(i), []).append(i)
+        ids = list(groups)
+        members = list(groups.values())
+        m = len(ids)
+        if kappa >= m:
+            return [list(pool)]
+        if kappa == 1:
+            return members
+        if kappa == 2:
+            dmask = self.dmask
+            families = []
+            for a in range(m):
+                for b in range(a + 1, m):
+                    da, db = ids[a], ids[b]
+                    u = dmask[da] | dmask[db]
+                    fam = members[a] + members[b]
+                    for c in range(m):
+                        if c == a or c == b or dmask[ids[c]] & ~u:
+                            continue
+                        if self.in_plane(da, db, ids[c]):
+                            fam.extend(members[c])
+                    fam.sort()
+                    families.append(fam)
+            return families
+        mask_classes: dict[int, list[int]] = {}
+        for i in pool:
+            mask_classes.setdefault(self.smask[i], []).append(i)
+        masks = list(mask_classes)
+        if kappa >= len(masks):
+            return [list(pool)]
+        families = []
+        for basis in itertools.combinations(masks, kappa):
+            u = 0
+            for b in basis:
+                u |= b
+            fam = [i for mk, rows in mask_classes.items() if not mk & ~u
+                   for i in rows]
+            fam.sort()
+            families.append(fam)
+        return families
+
+
 class _RepairSearch:
-    """Shared per-code state for repeated repair queries."""
+    """Shared per-code state for repeated repair queries.  Its parity-set
+    tables live and die with it."""
 
     def __init__(self, code: SystematicCode):
         self.code = code
@@ -105,10 +233,7 @@ class _RepairSearch:
         self.r = code.r
         self.n = code.n
         self.P = code.P.data
-        fld = code.field
-        self.exp = fld._exp
-        self.log = fld._log
-        self.q1 = fld.order - 1
+        self.field = code.field
         # row sets as bitmasks, bit i = data row i
         self.col_mask = [
             sum(1 << i for i in range(self.k) if self.P[i][j])
@@ -118,77 +243,7 @@ class _RepairSearch:
             frozenset(i for i in range(self.k) if self.P[i][j])
             for j in range(self.r)
         ]
-        self._t_cache: dict[tuple, tuple] = {}
-
-    # A candidate is feasible iff every target column stays inside the span
-    # of the fetched columns, i.e. elimination over the kept rows never
-    # pivots in a target column.
-    def _span_ok(self, rows: list[list[int]], na: int) -> bool:
-        exp, log, q1 = self.exp, self.log, self.q1
-        nrows = len(rows)
-        if nrows == 0:
-            return True
-        ncols = len(rows[0])
-        rr = 0
-        for c in range(ncols):
-            piv = None
-            for i in range(rr, nrows):
-                if rows[i][c]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            if c >= na:
-                return False
-            rows[rr], rows[piv] = rows[piv], rows[rr]
-            prow = rows[rr]
-            pl = q1 - log[prow[c]]
-            for i in range(rr + 1, nrows):
-                a = rows[i][c]
-                if a:
-                    s = (log[a] + pl) % q1
-                    row_i = rows[i]
-                    for j in range(c, ncols):
-                        b = prow[j]
-                        if b:
-                            row_i[j] ^= exp[log[b] + s]
-            rr += 1
-            if rr == nrows:
-                break
-        return True
-
-    def _rank(self, rows: list[list[int]]) -> int:
-        exp, log, q1 = self.exp, self.log, self.q1
-        rows = [list(r) for r in rows]
-        nrows = len(rows)
-        if nrows == 0:
-            return 0
-        ncols = len(rows[0])
-        rr = 0
-        for c in range(ncols):
-            piv = None
-            for i in range(rr, nrows):
-                if rows[i][c]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            rows[rr], rows[piv] = rows[piv], rows[rr]
-            prow = rows[rr]
-            pl = q1 - log[prow[c]]
-            for i in range(rr + 1, nrows):
-                a = rows[i][c]
-                if a:
-                    s = (log[a] + pl) % q1
-                    row_i = rows[i]
-                    for j in range(c, ncols):
-                        b = prow[j]
-                        if b:
-                            row_i[j] ^= exp[log[b] + s]
-            rr += 1
-            if rr == nrows:
-                break
-        return rr
+        self._t_cache: dict[tuple[int, ...], _ParitySet] = {}
 
     def minimal_repair(
         self, erased: ErasurePattern, lex_ties: bool = True
@@ -243,25 +298,6 @@ class _RepairSearch:
             raise UndecodableError(erased)  # unreachable for decodable input
         return RepairPlan(tuple(erased), best_set, best_cost)
 
-    def _t_info(self, T):
-        """Per-parity-set data shared across erasure queries: restricted
-        rows, their support masks within T, and the union row mask."""
-        info = self._t_cache.get(T)
-        if info is None:
-            P = self.P
-            t_mask = 0
-            for t in T:
-                t_mask |= self.col_mask[t]
-            restr = {}
-            smask = {}
-            for i in _bits(t_mask):
-                row = [P[i][t] for t in T]
-                restr[i] = row
-                smask[i] = sum(1 << j for j, x in enumerate(row) if x)
-            info = (t_mask, restr, smask)
-            self._t_cache[T] = info
-        return info
-
     def _best_for_parity_set(
         self, T, e_rows, e_pars, targets, cost_cap
     ) -> tuple[int, tuple[int, ...]] | None:
@@ -274,30 +310,25 @@ class _RepairSearch:
         loses no optimum and no tie candidate.
         """
         k = self.k
-        col_mask = self.col_mask
-        t_mask, restr, smask = self._t_info(T)
-        for i in e_rows:
-            if not (t_mask >> i) & 1:
-                return None  # an erased data row no parity equation touches
-        u_mask = t_mask
-        for p in e_pars:
-            u_mask |= col_mask[p]
+        tab = self._t_cache.get(T)
+        if tab is None:
+            tab = self._t_cache[T] = _ParitySet(
+                self.P, self.col_mask, T, self.field
+            )
         e_mask = 0
         for i in e_rows:
             e_mask |= 1 << i
-        c_mask = u_mask & ~e_mask
+        if e_mask & ~tab.t_mask:
+            return None  # an erased data row no parity equation touches
+        u_mask = tab.t_mask
+        for p in e_pars:
+            u_mask |= self.col_mask[p]
 
         # rows covered by exactly one parity of T can never be left
         # unfetched: that parity is used by some recovery combination,
         # whose value on such a row is a single nonzero term
-        once = 0
-        multi = 0
-        for t in T:
-            m = col_mask[t]
-            multi |= once & m
-            once |= m
-        pool_mask = c_mask & multi
-        forced_mask = c_mask & ~pool_mask
+        pool_mask = tab.multi & ~e_mask
+        forced_mask = u_mask & ~e_mask & ~pool_mask
 
         base = len(T) + forced_mask.bit_count()
         n_pool = pool_mask.bit_count()
@@ -312,18 +343,24 @@ class _RepairSearch:
         # produce one unit vector per erased data row vanishing on all of
         # F), so F lies inside one family: rows whose support fits in the
         # union of kappa member supports (pairwise proportional if kappa=1).
-        families = self._unfetch_families(pool, restr, smask, kappa)
+        families = tab.unfetch_families(pool, kappa)
         f_hi = max((len(fam) for fam in families), default=0)
         s_lb = n_pool - f_hi
         if base + s_lb >= cost_cap:
             return None
 
+        # A fetched set is feasible iff no vector of the span of its
+        # erased and unfetched rows [restricted row | target part] starts
+        # in a target column.  The erased rows' basis, built once, is also
+        # the quick reject for fetching every support row.
         na = len(T)
-        e_full = [restr.get(i, [0] * na) + targets[i] for i in e_rows]
-
-        # quick reject: even fetching every support row must be feasible
-        if not self._span_ok([list(r) for r in e_full], na):
-            return None
+        fld = self.field
+        restr = tab.restr
+        basis: Basis = []
+        for i in e_rows:
+            lead = insert_row(basis, restr[i] + targets[i], fld)
+            if lead is not None and lead >= na:
+                return None
 
         forced = _bits(forced_mask)
         for s in range(max(0, s_lb), n_pool + 1):
@@ -340,13 +377,15 @@ class _RepairSearch:
                     if len(fam) >= f:
                         candidates.update(itertools.combinations(fam, f))
             for unfetched in candidates:
-                kept = [list(r) for r in e_full]
-                kept.extend(restr[i] + targets[i] for i in unfetched)
-                if self._span_ok(kept, na):
-                    un_set = set(unfetched)
+                trial = list(basis)
+                for i in unfetched:
+                    lead = insert_row(trial, restr[i] + targets[i], fld)
+                    if lead is not None and lead >= na:
+                        break
+                else:
                     helpers = tuple(
                         sorted(
-                            [i + 1 for i in pool if i not in un_set]
+                            [i + 1 for i in pool if i not in unfetched]
                             + [i + 1 for i in forced]
                             + [k + 1 + t for t in T]
                         )
@@ -356,85 +395,6 @@ class _RepairSearch:
             if found is not None:
                 return cost, found
         return None
-
-    def _unfetch_families(self, pool, restr, smask, kappa: int) -> list[list[int]]:
-        """Candidate families of unfetchable rows.
-
-        A row set spanning <= kappa dimensions takes a basis from its own
-        members, so it is contained in one of the families below: for
-        kappa = 1 a direction group (pairwise proportional rows), for
-        kappa = 2 the rows lying in the plane of two direction groups, and
-        beyond that the support-mask relaxation (any spanned row's support
-        sits inside the union of the basis supports).
-        """
-        if kappa <= 0 or not pool:
-            return []
-        exp, log, q1 = self.exp, self.log, self.q1
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i in pool:
-            row = restr[i]
-            first = next(x for x in row if x)
-            inv_l = q1 - log[first]
-            key = tuple(exp[(log[x] + inv_l) % q1] if x else 0 for x in row)
-            groups.setdefault(key, []).append(i)
-        dirs = list(groups)
-        members = list(groups.values())
-        m = len(dirs)
-        if kappa >= m:
-            return [list(pool)]
-        if kappa == 1:
-            return members
-        if kappa == 2:
-            dmask = [
-                sum(1 << j for j, x in enumerate(vec) if x) for vec in dirs
-            ]
-            families = []
-            for a in range(m):
-                for b in range(a + 1, m):
-                    u = dmask[a] | dmask[b]
-                    fam = list(members[a]) + list(members[b])
-                    for c in range(m):
-                        if c == a or c == b or dmask[c] & ~u:
-                            continue
-                        if self._in_plane(dirs[a], dirs[b], dirs[c]):
-                            fam.extend(members[c])
-                    fam.sort()
-                    families.append(fam)
-            return families
-        mask_classes: dict[int, list[int]] = {}
-        for i in pool:
-            mask_classes.setdefault(smask[i], []).append(i)
-        masks = list(mask_classes)
-        if kappa >= len(masks):
-            return [list(pool)]
-        families = []
-        for basis in itertools.combinations(masks, kappa):
-            u = 0
-            for b in basis:
-                u |= b
-            fam = [i for mk, rows in mask_classes.items() if not mk & ~u
-                   for i in rows]
-            fam.sort()
-            families.append(fam)
-        return families
-
-    def _in_plane(self, a, b, c) -> bool:
-        """True iff c lies in the span of the independent vectors a, b."""
-        exp, log, q1 = self.exp, self.log, self.q1
-
-        def reduce(vec, basis):
-            piv = next((j for j, x in enumerate(basis) if x), None)
-            if piv is None or not vec[piv]:
-                return vec
-            s = (log[vec[piv]] + q1 - log[basis[piv]]) % q1
-            return [
-                v ^ exp[(log[x] + s) % q1] if x else v
-                for v, x in zip(vec, basis)
-            ]
-
-        b2 = reduce(list(b), a)
-        c2 = reduce(reduce(list(c), a), b2)
-        return not any(c2)
 
     def _greedy_plan(self, erased: ErasurePattern) -> RepairPlan:
         """Cheap fallback beyond EXHAUSTIVE_LIMIT: one covering parity per
@@ -469,17 +429,17 @@ class _RepairSearch:
             if self._plan_feasible(plan):
                 return plan
         # full-decode fallback: the first k independent survivor columns
-        survivors = [b for b in range(1, self.n + 1) if b not in erased]
-        basis: list[int] = []
-        rows: list[list[int]] = []
-        for b in survivors:
-            cand = rows + [self.code.generator_column(b)]
-            if self._rank(cand) == len(cand):
-                rows = cand
-                basis.append(b)
-                if len(basis) == k:
+        basis: Basis = []
+        chosen: list[int] = []
+        for b in range(1, self.n + 1):
+            if b in erased:
+                continue
+            col = self.code.generator_column(b)
+            if insert_row(basis, col, self.field) is not None:
+                chosen.append(b)
+                if len(chosen) == k:
                     break
-        return RepairPlan(tuple(erased), tuple(basis), len(basis), False)
+        return RepairPlan(tuple(erased), tuple(chosen), len(chosen), False)
 
     def _plan_feasible(self, plan: RepairPlan) -> bool:
         cols = GfMatrix(
@@ -581,26 +541,17 @@ def undecodable_counts(code: SystematicCode, f_max: int) -> dict[int, int]:
     if depth_cap == 0:
         return counts
     fld = code.field
-    exp, log, q1 = fld._exp, fld._log, fld.order - 1
     hcols = [None] + [code.parity_check_column(b) for b in range(1, n + 1)]
 
-    def dfs(start: int, basis: list[tuple[int, list[int]]], depth: int):
+    def dfs(start: int, basis: Basis, depth: int):
         for b in range(start, n + 1):
-            col = list(hcols[b])
-            for pivot, brow in basis:
-                a = col[pivot]
-                if a:
-                    s = (log[a] + q1 - log[brow[pivot]]) % q1
-                    for j in range(pivot, r):
-                        v = brow[j]
-                        if v:
-                            col[j] ^= exp[log[v] + s]
-            pivot = next((j for j in range(r) if col[j]), None)
-            if pivot is None:
+            if insert_row(basis, hcols[b], fld) is None:
                 for f in range(depth + 1, depth_cap + 1):
                     counts[f] += math.comb(n - b, f - depth - 1)
-            elif depth + 1 < depth_cap:
-                dfs(b + 1, basis + [(pivot, col)], depth + 1)
+            else:
+                if depth + 1 < depth_cap:
+                    dfs(b + 1, basis, depth + 1)
+                basis.pop()
 
     dfs(1, [], 0)
     return counts

@@ -8,9 +8,15 @@ balanced locally repairable when
     exactly w*k - r*l columns of weight l+1,
   * every submatrix formed from v <= w rows of P has rank v.
 
-Under those conditions the minimum distance is w+1 and single-block repair
-touches l or l+1 blocks.  Blocks are 1-indexed: 1..k systematic, k+1..n
-parity.
+The row weight bounds the minimum distance by w+1: a data block and the w
+parities of its row form an undecodable pattern.  The rank condition makes
+every erasure of up to w data blocks decodable, but it says nothing of
+patterns that mix data and parity blocks.  So a code that passes validate,
+such as an unscreened assign_coefficients draw, can have distance below
+w+1 and fewer decodable patterns than its support allows;
+minimum_distance and the decodability profile report the true values.
+Single-block repair touches l or l+1 blocks.  Blocks are 1-indexed: 1..k
+systematic, k+1..n parity.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import random
 from dataclasses import dataclass
 
 from .gf import GF256, FieldSpec
-from .linalg import GfMatrix, SingularMatrixError, rank, solve
+from .linalg import GfMatrix, SingularMatrixError, insert_row, rank, solve
 
 SupportPattern = tuple[tuple[int, ...], ...]
 """Per-row sorted tuples of 0-based parity-column indices (the nonzero
@@ -64,7 +70,8 @@ class CodeSpec:
 
     @property
     def d(self) -> int:
-        """Minimum distance implied by the row weight."""
+        """Designed minimum distance w+1, an upper bound on the true one
+        (see the module docstring)."""
         return self.w + 1
 
     @property
@@ -181,33 +188,17 @@ def _first_dependent_subset(
     Only independent prefixes are extended, which suffices: every minimal
     dependent subset has all proper prefixes independent.
     """
-    fld = P.field
-    exp, log = fld._exp, fld._log
-    q1 = fld.order - 1
     k = P.rows
-
-    def reduce_row(row: list[int], basis: list[tuple[int, list[int]]]) -> list[int]:
-        row = list(row)
-        for pivot_col, brow in basis:
-            a = row[pivot_col]
-            if a:
-                s = (log[a] + q1 - log[brow[pivot_col]]) % q1
-                for j in range(pivot_col, len(row)):
-                    b = brow[j]
-                    if b:
-                        row[j] ^= exp[log[b] + s]
-        return row
 
     def dfs(start: int, basis, chosen: tuple[int, ...]) -> tuple[int, ...] | None:
         for i in range(start, k):
-            red = reduce_row(P.data[i], basis)
-            pivot = next((j for j, x in enumerate(red) if x), None)
-            if pivot is None:
+            if insert_row(basis, P.data[i], P.field) is None:
                 return chosen + (i,)
             if len(chosen) + 1 < max_size:
-                hit = dfs(i + 1, basis + [(pivot, red)], chosen + (i,))
+                hit = dfs(i + 1, basis, chosen + (i,))
                 if hit is not None:
                     return hit
+            basis.pop()
         return None
 
     return dfs(0, [], ())

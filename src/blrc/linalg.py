@@ -1,11 +1,15 @@
-"""Dense matrices over GF(2^m): rank, solving, column-span membership.
+"""Dense matrices over GF(2^m): rank, solving, column-span membership, and
+an echelon basis that grows one row at a time.
 
 Everything here is exact Gaussian elimination with first-nonzero pivoting.
 Matrices in this package never exceed a few dozen rows, so no attention is
-paid to asymptotics.  Operations never mutate their inputs.
+paid to asymptotics.  Operations never mutate their inputs, except that
+insert_row appends to the basis it is given.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from .gf import FieldMismatchError, FieldSpec
 
@@ -122,6 +126,40 @@ def _eliminate(rows: list[list[int]], field: FieldSpec) -> tuple[list[list[int]]
         pivots.append(c)
         r += 1
     return rows, pivots
+
+
+Basis = list[tuple[int, list[int]]]
+"""Echelon rows as (pivot, row) in insertion order.  Each row is zero before
+its pivot and at the pivot of every earlier row, and pivots are distinct."""
+
+
+def insert_row(basis: Basis, row: Sequence[int], field: FieldSpec) -> int | None:
+    """Reduce a copy of row against basis, in insertion order, and append
+    it when it is independent.
+
+    Returns None when row lies in the span of basis.  Otherwise appends
+    (lead, residual) and returns lead, the residual's first nonzero column.
+    The span of an echelon basis has a vector whose first nonzero column is
+    c exactly when c is one of its pivots, so a test that the span never
+    reaches a block of target columns stops at the first lead inside it.
+    """
+    exp, log = field._exp, field._log
+    q1 = field.order - 1
+    v = list(row)
+    ncols = len(v)
+    for pivot, brow in basis:
+        a = v[pivot]
+        if a:
+            s = (log[a] - log[brow[pivot]]) % q1
+            for j in range(pivot, ncols):
+                b = brow[j]
+                if b:
+                    v[j] ^= exp[log[b] + s]
+    for lead, x in enumerate(v):
+        if x:
+            basis.append((lead, v))
+            return lead
+    return None
 
 
 def rank(M: GfMatrix) -> int:

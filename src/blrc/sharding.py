@@ -10,11 +10,10 @@ which keeps the per-byte work in C.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analysis import RepairPlan, minimal_repair
+from .analysis import RepairPlan
 from .code import SystematicCode, UndecodableError
 from .gf import FieldSpec
 from .linalg import GfMatrix, span_coefficients
@@ -198,12 +197,3 @@ def read_shard(path: Path) -> tuple[ShardHeader, bytes]:
             f" {header.stripes}"
         )
     return header, payload
-
-
-def file_digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def plan_single_repair(code: SystematicCode, index: int) -> RepairPlan:
-    """Minimal repair plan for one shard."""
-    return minimal_repair(code, (index,))

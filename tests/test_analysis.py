@@ -6,6 +6,7 @@ import pytest
 
 from blrc.analysis import (
     EXHAUSTIVE_LIMIT,
+    _RepairSearch,
     avg_repair_bandwidth_double,
     avg_repair_bandwidth_single,
     build_report,
@@ -14,8 +15,9 @@ from blrc.analysis import (
     repair_values,
     undecodable_counts,
 )
-from blrc.code import UndecodableError, encode, support_of
+from blrc.code import SystematicCode, UndecodableError, encode, support_of
 from blrc.gf import GF256
+from blrc.linalg import GfMatrix
 from util_oracles import (
     decodable_by_generator,
     minimal_repair_all_subsets,
@@ -86,6 +88,40 @@ def test_single_repair_cost_is_l_or_l_plus_one(code_15_10, code_16_10_w2):
         l = code.spec.l
         for b in range(1, code.n + 1):
             assert minimal_repair(code, (b,)).cost in (l, l + 1)
+
+
+def dense_global_code(seed: int) -> SystematicCode:
+    """[14, 8] code laid out like the Azure LRC: two local parities over the
+    halves of the data and four dense global parities.  Dense columns are
+    where the plane families of the repair search decide plans; balanced
+    supports rarely need them."""
+    rng = random.Random(seed)
+    rows = [
+        [1 if i // 4 == j else 0 for j in range(2)]
+        + [rng.randrange(1, 256) for _ in range(4)]
+        for i in range(8)
+    ]
+    return SystematicCode(GfMatrix(rows, GF256))
+
+
+def test_dense_global_pair_plans_match_oracle():
+    code = dense_global_code(5)
+    pairs = list(itertools.combinations(range(1, code.n + 1), 2))
+    for pair in random.Random(3).sample(pairs, 10):
+        cost, helpers = minimal_repair_all_subsets(code, pair)
+        plan = minimal_repair(code, pair)
+        assert (plan.cost, plan.helpers) == (cost, tuple(sorted(helpers)))
+
+
+def test_shared_search_tables_do_not_leak_between_patterns(code_16_10_w3):
+    # one search answers every pair in both tie modes with the parity-set
+    # tables the earlier patterns left behind; a fresh search has none
+    for code in (code_16_10_w3, dense_global_code(5)):
+        shared = _RepairSearch(code)
+        for lex_ties in (True, False):
+            for pair in itertools.combinations(range(1, code.n + 1), 2):
+                fresh = _RepairSearch(code).minimal_repair(pair, lex_ties)
+                assert shared.minimal_repair(pair, lex_ties) == fresh, pair
 
 
 def test_plan_replay_reproduces_erased_blocks(code_15_10):

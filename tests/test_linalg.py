@@ -9,6 +9,7 @@ from blrc.linalg import (
     GfMatrix,
     SingularMatrixError,
     in_span,
+    insert_row,
     rank,
     solve,
     span_coefficients,
@@ -95,6 +96,41 @@ def test_solve_overdetermined_consistent():
         A = rand_matrix(rng, 7, 4)
     x = [rng.randrange(256) for _ in range(4)]
     assert solve(A, A.mul_vec(x)) == x
+
+
+@given(seed=st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=60, deadline=None)
+def test_insert_row_matches_rank_and_span(seed):
+    rng = random.Random(seed)
+    rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+    # few distinct entries make dependent rows and zero columns common
+    values = [0, 0, 0] + [rng.randrange(1, 256) for _ in range(2)]
+    data = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+    basis = []
+    for i, row in enumerate(data):
+        grows = rank(GfMatrix(data[: i + 1], GF256)) > rank(
+            GfMatrix(data[:i], GF256)
+        )
+        assert (insert_row(basis, row, GF256) is not None) == grows
+    M = GfMatrix(data, GF256)
+    assert len(basis) == rank(M)
+    leads = [lead for lead, _ in basis]
+    assert len(set(leads)) == len(leads)
+    for lead, row in basis:
+        assert row[lead] and not any(row[:lead])
+
+    # membership: a combination of the rows, or a random vector
+    if rng.random() < 0.5:
+        target = M.transpose().mul_vec([rng.randrange(256) for _ in range(rows)])
+    else:
+        target = [rng.choice(values) for _ in range(cols)]
+    inside = insert_row(list(basis), target, GF256) is None
+    assert inside == (span_coefficients(M.transpose(), target) is not None)
+
+    # the span reaches the target columns na.. iff some lead lies there
+    na = rng.randrange(cols + 1)
+    left = M.submatrix(list(range(rows)), list(range(na)))
+    assert any(lead >= na for lead in leads) == (rank(M) > rank(left))
 
 
 def test_in_span_zero_and_members():

@@ -111,3 +111,35 @@ def test_trace_invariants():
     rows = list(trace.csv_rows())
     assert rows[0] == "restart,iteration,objective,accepted,best"
     assert len(rows) == len(trace.entries) + 1
+
+
+def test_hill_climb_golden_16_10():
+    # a fixed seed pins the whole trace and the returned code, so any drift
+    # in an exact repair cost changes one of them
+    code, trace = hill_climb(
+        SearchConfig(16, 10, 4, seed=778, max_iterations=4, restarts=1)
+    )
+    assert code.P.data == [
+        [176, 2, 145, 0, 0, 0],
+        [159, 0, 132, 0, 152, 0],
+        [0, 116, 126, 145, 0, 0],
+        [187, 85, 0, 26, 0, 0],
+        [0, 0, 23, 0, 182, 8],
+        [11, 0, 0, 74, 0, 250],
+        [0, 0, 128, 0, 84, 217],
+        [0, 244, 0, 0, 40, 53],
+        [207, 249, 0, 103, 0, 0],
+        [0, 0, 0, 116, 67, 78],
+    ]
+    # objectives are sums of the 120 pair costs over 120
+    expected = [
+        (0, 0, 888, True, 888),
+        (0, 1, 881, True, 881),
+        (0, 2, 877, True, 877),
+        (0, 3, 858, True, 858),
+        (0, 4, 877, False, 858),
+    ]
+    assert [
+        (e.restart, e.iteration, e.objective, e.accepted, e.best)
+        for e in trace.entries
+    ] == [(r, i, o / 120, a, b / 120) for r, i, o, a, b in expected]

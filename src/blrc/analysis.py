@@ -9,16 +9,31 @@ organized around the parity blocks used by a plan:
     blocks drawn from the supports of T and of the erased parities (a data
     helper outside those supports can never contribute and could be dropped,
     contradicting minimality),
-  * for a fixed T, the data blocks that can be left unfetched form a small
-    set bounded by rank arguments, so the per-T search space is tiny.
+  * for a fixed T, a data block of those supports may stay unfetched
+    only if at least two parities of T cover it, or one does and it lies
+    in an erased parity's support; the rest are always fetched.
+
+For a fixed T the unfetched blocks that work are closed under taking
+subsets, so a depth-first search that adds one block at a time to an
+incremental span test, dropping every prefix that fails, finds the
+largest such set (the cheapest plan) and, among those, the one giving
+the lexicographically smallest helper set.
 
 What depends on T alone is kept in one table per T and shared by every
-erasure pattern a search object answers: the rows restricted to T, their
-supports, the rows two parities of T cover, and, filled in only when a
-query reads them, a direction id per restricted row (proportional rows
-share one) and plane membership keyed by direction ids.  A pattern then
-only filters these tables by its pool of rows.  The tables die with their
-search object.
+erasure pattern of one search: the rows restricted to T and the rows two
+parities of T cover.  A search built with flats also keeps the flats of T
+for each kappa (|T| minus the number of erased data blocks) and each set
+of erased parities.  A row's vector there is its restricted row followed
+by its coefficients in the erased parities, and a flat is the set of rows
+whose vectors lie in the span of kappa independent ones (proportional
+vectors share a direction), stored as a row bitmask, only when it holds
+more than kappa rows.  The vectors of the rows a plan leaves unfetched
+span at most kappa dimensions, so more than kappa of them lie in one
+flat; the largest flat cut to a pattern's pool bounds the search before
+it tests anything.  Only lines and planes (kappa 1 and 2) are built, at a
+cost linear in the number of directions.  Building them costs more than
+a single query saves, so only the double-repair average, which asks
+every pair of one code, builds them.
 
 Every candidate is verified by an exact span test, so the result is
 identical to a plain size-ordered search over all survivor subsets (the
@@ -107,19 +122,17 @@ def normalize_pattern(code: SystematicCode, erased) -> ErasurePattern:
 class _ParitySet:
     """Tables of one parity set T, shared by every erasure pattern.
 
-    restr[i] is data row i restricted to the columns of T, smask[i] its
-    support within T, t_mask the rows T covers and multi the rows at least
-    two parities of T cover.  The direction and plane tables fill in on
-    demand, so a one-shot query pays only for what it reads.
+    restr[i] is data row i restricted to the columns of T, t_mask the rows
+    T covers and multi the rows at least two parities of T cover.  The
+    flats are built on first use for each kappa and set of erased
+    parities a query reads.
     """
 
-    __slots__ = (
-        "field", "t_mask", "multi", "restr", "smask",
-        "dir_of", "dir_id", "dirs", "dmask", "plane",
-    )
+    __slots__ = ("field", "P", "t_mask", "multi", "restr", "flats")
 
     def __init__(self, P: list[list[int]], col_mask: list[int], T, field):
         self.field = field
+        self.P = P
         t_mask = 0
         multi = 0
         for t in T:
@@ -127,107 +140,171 @@ class _ParitySet:
             t_mask |= col_mask[t]
         self.t_mask = t_mask
         self.multi = multi
-        self.restr = {}
-        self.smask = {}
-        for i in _bits(t_mask):
-            row = [P[i][t] for t in T]
-            self.restr[i] = row
-            self.smask[i] = sum(1 << j for j, x in enumerate(row) if x)
-        self.dir_of: dict[int, int] = {}
-        self.dir_id: dict[tuple[int, ...], int] = {}
-        self.dirs: list[tuple[int, ...]] = []
-        self.dmask: list[int] = []
-        self.plane: dict[tuple[int, int, int], bool] = {}
+        self.restr = {i: [P[i][t] for t in T] for i in _bits(t_mask)}
+        self.flats: dict[tuple, list[tuple[int, int]]] = {}
 
-    def direction(self, i: int) -> int:
-        """Id of the direction of restr[i]: rows get the same id exactly
-        when they are proportional."""
-        d = self.dir_of.get(i)
-        if d is None:
-            exp, log = self.field._exp, self.field._log
-            q1 = self.field.order - 1
-            row = self.restr[i]
-            inv_l = q1 - log[next(x for x in row if x)]
-            key = tuple(exp[log[x] + inv_l] if x else 0 for x in row)
-            d = self.dir_id.setdefault(key, len(self.dirs))
-            if d == len(self.dirs):
-                self.dirs.append(key)
-                self.dmask.append(self.smask[i])
-            self.dir_of[i] = d
-        return d
+    def flats_of(
+        self, kappa: int, e_pars: tuple[int, ...], par_mask: int
+    ) -> list[tuple[int, int]]:
+        """(row count, row mask) of every flat of kappa (1 or 2: a line
+        or a plane) with more than kappa rows, largest first, for patterns
+        erasing the parities e_pars (par_mask is the union of their
+        supports).
 
-    def in_plane(self, a: int, b: int, c: int) -> bool:
-        """True iff direction c lies in the span of directions a != b."""
-        key = (a, b, c) if a < b else (b, a, c)
-        hit = self.plane.get(key)
-        if hit is None:
-            basis: Basis = []
-            for d in key:
-                insert_row(basis, self.dirs[d], self.field)
-            hit = self.plane[key] = len(basis) == 2
-        return hit
-
-    def unfetch_families(self, pool, kappa: int) -> list[list[int]]:
-        """Candidate families of unfetchable rows.
-
-        A row set spanning <= kappa dimensions takes a basis from its own
-        members, so it is contained in one of the families below: for
-        kappa = 1 a direction group (pairwise proportional rows), for
-        kappa = 2 the rows lying in the plane of two direction groups, and
-        beyond that the support-mask relaxation (any spanned row's support
-        sits inside the union of the basis supports).
+        The rows are those such a pattern can leave unfetched: multi and
+        the rows of T in par_mask.  Each row's vector is its restricted
+        row followed by its coefficients in e_pars.  A set F of rows whose
+        vectors span at most kappa dimensions takes a basis from its own
+        members, and that basis extends to kappa independent directions
+        of the rows unless they span <= kappa dimensions.  So F lies in
+        one flat: the rows inside the span of kappa independent
+        directions, or all the rows.  Any kappa rows qualify, so only the
+        flats with more rows tell anything.
         """
-        if kappa <= 0 or not pool:
-            return []
-        groups: dict[int, list[int]] = {}
-        for i in pool:
-            groups.setdefault(self.direction(i), []).append(i)
-        ids = list(groups)
-        members = list(groups.values())
-        m = len(ids)
-        if kappa >= m:
-            return [list(pool)]
+        flats = self.flats.get((kappa, e_pars))
+        if flats is None:
+            rows = self.multi | self.t_mask & par_mask
+            items = [
+                (self.restr[i] + [self.P[i][p] for p in e_pars], 1 << i)
+                for i in _bits(rows)
+            ]
+            sizes = ((m.bit_count(), m) for m in self._build_flats(kappa, items))
+            flats = sorted((f for f in sizes if f[0] > kappa), reverse=True)
+            self.flats[kappa, e_pars] = flats
+        return flats
+
+    def _build_flats(self, kappa: int, items) -> list[int]:
+        fld = self.field
+        # one direction per class of proportional vectors: the lines
+        _, members = _residual_classes([], items, fld)
+        dirs = list(members.items())
+        basis: Basis = []
+        dim = 0
+        for d, _ in dirs:
+            if insert_row(basis, d, fld) is not None:
+                dim += 1
+                if dim > kappa:
+                    break
+        else:
+            return [sum(mask for _, mask in items)]  # at most kappa dimensions
         if kappa == 1:
-            return members
-        if kappa == 2:
-            dmask = self.dmask
-            families = []
-            for a in range(m):
-                for b in range(a + 1, m):
-                    da, db = ids[a], ids[b]
-                    u = dmask[da] | dmask[db]
-                    fam = members[a] + members[b]
-                    for c in range(m):
-                        if c == a or c == b or dmask[ids[c]] & ~u:
-                            continue
-                        if self.in_plane(da, db, ids[c]):
-                            fam.extend(members[c])
-                    fam.sort()
-                    families.append(fam)
-            return families
-        mask_classes: dict[int, list[int]] = {}
-        for i in pool:
-            mask_classes.setdefault(self.smask[i], []).append(i)
-        masks = list(mask_classes)
-        if kappa >= len(masks):
-            return [list(pool)]
-        families = []
-        for basis in itertools.combinations(masks, kappa):
-            u = 0
-            for b in basis:
-                u |= b
-            fam = [i for mk, rows in mask_classes.items() if not mk & ~u
-                   for i in rows]
-            fam.sort()
-            families.append(fam)
-        return families
+            return list(members.values())
+        # A plane is found from its first direction: the later directions
+        # whose residuals modulo that one are proportional lie in it.
+        flats: set[int] = set()
+        for j, (d, rows) in enumerate(dirs):
+            basis = []
+            insert_row(basis, d, fld)
+            _, groups = _residual_classes(basis, dirs[j + 1 :], fld)
+            flats.update(rows | g for g in groups.values())
+        return list(flats)
+
+
+def _residual_classes(
+    basis: Basis, items, field
+) -> tuple[int, dict[tuple[int, ...], int]]:
+    """Split (vector, row mask) items by their residual modulo the span of
+    basis: the rows of the vectors inside the span, and the rows of each
+    class of proportional residuals, keyed by the residual scaled to a
+    leading 1."""
+    exp, log = field._exp, field._log
+    q1 = field.order - 1
+    inside = 0
+    classes: dict[tuple[int, ...], int] = {}
+    for vec, rows in items:
+        lead = insert_row(basis, vec, field)
+        if lead is None:
+            inside |= rows
+            continue
+        res = basis.pop()[1]
+        inv = q1 - log[res[lead]]
+        key = tuple(exp[log[x] + inv] if x else 0 for x in res)
+        classes[key] = classes.get(key, 0) | rows
+    return inside, classes
+
+
+def _largest_extension(
+    basis: Basis,
+    vecs: list[list[int]],
+    na: int,
+    field,
+    beat: int,
+    hi: int,
+    lex: bool,
+) -> list[int] | None:
+    """Positions of a largest set of vecs whose insertion keeps every lead
+    of basis below column na, when that set has more than beat members;
+    None otherwise.  hi bounds the size from above.  With lex, the set is
+    the lexicographically first of that size: it leaves out the earliest
+    positions.
+
+    Such sets are closed under taking subsets, so a depth-first search
+    that inserts one vector at a time drops every prefix that fails.  The
+    first pass includes before it excludes and finds the largest size; the
+    second excludes first, so the first set of that size it reaches is the
+    lexicographically first.  basis comes back with extra rows.
+    """
+    if beat >= hi:
+        return None
+    m = len(vecs)
+    best = beat
+    found: list[int] = []
+    chosen: list[int] = []
+
+    def largest(j: int) -> bool:
+        nonlocal best, found
+        if len(chosen) + m - j <= best:
+            return False
+        if j == m:
+            best = len(chosen)
+            found = list(chosen)
+            return best >= hi
+        lead = insert_row(basis, vecs[j], field)
+        stop = False
+        if lead is None or lead < na:
+            chosen.append(j)
+            stop = largest(j + 1)
+            chosen.pop()
+        if lead is not None:
+            basis.pop()
+        return stop or largest(j + 1)
+
+    largest(0)
+    if best == beat:
+        return None
+    if not lex:
+        return found
+
+    def first(j: int) -> bool:
+        if len(chosen) == best:
+            return True
+        if len(chosen) + m - j < best:
+            return False
+        if first(j + 1):
+            return True
+        lead = insert_row(basis, vecs[j], field)
+        if lead is None or lead < na:
+            chosen.append(j)
+            if first(j + 1):
+                return True
+            chosen.pop()
+        if lead is not None:
+            basis.pop()
+        return False
+
+    first(0)
+    return chosen
 
 
 class _RepairSearch:
-    """Shared per-code state for repeated repair queries.  Its parity-set
-    tables live and die with it."""
+    """Repair queries on one code, sharing one table per parity set.
 
-    def __init__(self, code: SystematicCode):
+    With flats, each table also builds the flats of T, which bound how
+    many rows a plan can leave unfetched before any is tested; they pay
+    off only when one search answers many patterns.
+    """
+
+    def __init__(self, code: SystematicCode, flats: bool = False):
         self.code = code
         self.k = code.k
         self.r = code.r
@@ -243,6 +320,7 @@ class _RepairSearch:
             frozenset(i for i in range(self.k) if self.P[i][j])
             for j in range(self.r)
         ]
+        self.flats = flats
         self._t_cache: dict[tuple[int, ...], _ParitySet] = {}
 
     def minimal_repair(
@@ -253,9 +331,9 @@ class _RepairSearch:
         lexicographically smallest one (used by the averaging loops)."""
         if not erased:
             return RepairPlan((), (), 0)
-        if not decodable(self.code, erased):
-            raise UndecodableError(erased)
         if self.n > EXHAUSTIVE_LIMIT:
+            if not decodable(self.code, erased):
+                raise UndecodableError(erased)
             return self._greedy_plan(erased)
 
         k = self.k
@@ -283,7 +361,7 @@ class _RepairSearch:
                 continue  # |T| >= number of erased data blocks is necessary
             for T in itertools.combinations(surviving_parities, t_size):
                 found = self._best_for_parity_set(
-                    T, e_rows, e_pars, targets, best_cost + slack
+                    T, e_rows, e_pars, targets, best_cost + slack, lex_ties
                 )
                 if found is not None:
                     cost, helper_set = found
@@ -295,15 +373,18 @@ class _RepairSearch:
                         best_cost = cost
                         best_set = helper_set
         if best_set is None:
-            raise UndecodableError(erased)  # unreachable for decodable input
+            # every helper set spanning the erased columns is a plan, so
+            # the search finds none exactly when the pattern is undecodable
+            raise UndecodableError(erased)
         return RepairPlan(tuple(erased), best_set, best_cost)
 
     def _best_for_parity_set(
-        self, T, e_rows, e_pars, targets, cost_cap
+        self, T, e_rows, e_pars, targets, cost_cap, lex_ties
     ) -> tuple[int, tuple[int, ...]] | None:
         """Cheapest feasible plan that fetches exactly the parity set T (and
         actually uses every parity in it), or None when none is below
-        cost_cap.  Returns (cost, sorted block tuple).
+        cost_cap.  Returns (cost, sorted block tuple), the lexicographically
+        smallest such tuple when lex_ties.
 
         Plans with an unused helper are never cost-minimal (dropping the
         helper would beat them), so restricting to all-parities-used plans
@@ -320,39 +401,48 @@ class _RepairSearch:
             e_mask |= 1 << i
         if e_mask & ~tab.t_mask:
             return None  # an erased data row no parity equation touches
-        u_mask = tab.t_mask
+        par_mask = 0
         for p in e_pars:
-            u_mask |= self.col_mask[p]
+            par_mask |= self.col_mask[p]
 
-        # rows covered by exactly one parity of T can never be left
-        # unfetched: that parity is used by some recovery combination,
-        # whose value on such a row is a single nonzero term
-        pool_mask = tab.multi & ~e_mask
-        forced_mask = u_mask & ~e_mask & ~pool_mask
+        # A row only one parity t of T covers can stay unfetched only for
+        # an erased parity's sake: every combination repairing an erased
+        # data row vanishes on it, so it leaves t out, and a combination
+        # repairing an erased parity must match that parity's coefficient
+        # on it, which is nonzero only on the parity's support.  (Were t
+        # used by no combination, dropping it would give a cheaper plan.)
+        pool_mask = (tab.multi | tab.t_mask & par_mask) & ~e_mask
+        forced_mask = (tab.t_mask | par_mask) & ~e_mask & ~pool_mask
 
         base = len(T) + forced_mask.bit_count()
         n_pool = pool_mask.bit_count()
         kappa = len(T) - len(e_rows)
-        if kappa < 0 or base + (0 if kappa > 0 else n_pool) >= cost_cap:
+        f_hi = n_pool if kappa > 0 else 0
+        if kappa < 0 or base + n_pool - f_hi >= cost_cap:
             return None
 
-        pool = _bits(pool_mask)
-
-        # Unfetched rows F also keep their restricted parity rows inside a
-        # kappa-dimensional subspace (the fetched columns still have to
-        # produce one unit vector per erased data row vanishing on all of
-        # F), so F lies inside one family: rows whose support fits in the
-        # union of kappa member supports (pairwise proportional if kappa=1).
-        families = tab.unfetch_families(pool, kappa)
-        f_hi = max((len(fam) for fam in families), default=0)
-        s_lb = n_pool - f_hi
-        if base + s_lb >= cost_cap:
-            return None
+        # The unfetched rows F, each extended by its coefficients in the
+        # erased parities, span at most kappa dimensions: the fetched
+        # columns have to produce one unit vector per erased data row
+        # vanishing on F, and match every erased parity on F.  Any kappa
+        # rows of the pool qualify; a larger F lies inside one flat of T
+        # cut to the pool.  Only lines and planes are built: their cost is
+        # linear in the number of directions, while for kappa >= 3 it grows
+        # as C(directions, kappa - 1) and outweighs the search it saves.
+        if self.flats and 0 < kappa <= 2 and kappa < n_pool:
+            f_hi = kappa
+            for size, flat in tab.flats_of(kappa, tuple(e_pars), par_mask):
+                if size <= f_hi:
+                    break
+                f_hi = max(f_hi, (flat & pool_mask).bit_count())
+            if base + n_pool - f_hi >= cost_cap:
+                return None
 
         # A fetched set is feasible iff no vector of the span of its
         # erased and unfetched rows [restricted row | target part] starts
-        # in a target column.  The erased rows' basis, built once, is also
-        # the quick reject for fetching every support row.
+        # in a target column, so the unfetched sets that work are closed
+        # under taking subsets.  The erased rows' basis is also the quick
+        # reject for fetching every support row.
         na = len(T)
         fld = self.field
         restr = tab.restr
@@ -362,39 +452,28 @@ class _RepairSearch:
             if lead is not None and lead >= na:
                 return None
 
-        forced = _bits(forced_mask)
-        for s in range(max(0, s_lb), n_pool + 1):
-            cost = base + s
-            if cost >= cost_cap:
-                return None
-            f = n_pool - s
-            found: tuple[int, ...] | None = None
-            if f == 0:
-                candidates: set[tuple[int, ...]] = {()}
-            else:
-                candidates = set()
-                for fam in families:
-                    if len(fam) >= f:
-                        candidates.update(itertools.combinations(fam, f))
-            for unfetched in candidates:
-                trial = list(basis)
-                for i in unfetched:
-                    lead = insert_row(trial, restr[i] + targets[i], fld)
-                    if lead is not None and lead >= na:
-                        break
-                else:
-                    helpers = tuple(
-                        sorted(
-                            [i + 1 for i in pool if i not in unfetched]
-                            + [i + 1 for i in forced]
-                            + [k + 1 + t for t in T]
-                        )
-                    )
-                    if found is None or helpers < found:
-                        found = helpers
-            if found is not None:
-                return cost, found
-        return None
+        pool = _bits(pool_mask)
+        # leaving f pool rows unfetched costs base + n_pool - f
+        unfetched = _largest_extension(
+            basis,
+            [restr[i] + targets[i] for i in pool],
+            na,
+            fld,
+            n_pool - (cost_cap - base),
+            f_hi,
+            lex_ties,
+        )
+        if unfetched is None:
+            return None
+        left = {pool[j] for j in unfetched}
+        helpers = tuple(
+            sorted(
+                [i + 1 for i in pool if i not in left]
+                + [i + 1 for i in _bits(forced_mask)]
+                + [k + 1 + t for t in T]
+            )
+        )
+        return len(helpers), helpers
 
     def _greedy_plan(self, erased: ErasurePattern) -> RepairPlan:
         """Cheap fallback beyond EXHAUSTIVE_LIMIT: one covering parity per
@@ -510,7 +589,7 @@ def avg_repair_bandwidth_double(code: SystematicCode) -> DoubleRepairStats:
     (possible only when the distance is below 3) are excluded from the mean
     and counted separately.
     """
-    search = _RepairSearch(code)
+    search = _RepairSearch(code, flats=True)
     total = 0
     pairs = 0
     bad = 0

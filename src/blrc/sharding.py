@@ -10,6 +10,7 @@ which keeps the per-byte work in C.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,29 +34,27 @@ class ShardHeader:
     data_length: int
 
 
+@functools.lru_cache(maxsize=None)
 def _mul_table(field: FieldSpec, c: int) -> bytes:
+    """Translate table of x -> c * x; one per (field, coefficient), so at
+    most 255 per field."""
     if field.m != 8:
         raise ShardError("file sharding requires GF(2^8), one byte per block")
     return bytes(field.mul(c, x) for x in range(256))
 
 
-def _xor_bytes(a: bytes, b: bytes) -> bytes:
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    return (
-        int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
-    ).to_bytes(len(a), "big") if a else a
-
-
 def _accumulate(parts: list[tuple[int, bytes]], field: FieldSpec, length: int) -> bytes:
-    """XOR-sum of coefficient * stream over all parts."""
-    acc = bytes(length)
+    """XOR-sum of coefficient * stream over all parts, summed as one wide
+    integer and converted back to bytes once."""
+    acc = 0
     for coeff, stream in parts:
         if coeff == 0:
             continue
+        if len(stream) != length:
+            raise ValueError("length mismatch")
         term = stream if coeff == 1 else stream.translate(_mul_table(field, coeff))
-        acc = _xor_bytes(acc, term)
-    return acc
+        acc ^= int.from_bytes(term, "big")
+    return acc.to_bytes(length, "big")
 
 
 def encode_stream(code: SystematicCode, data: bytes) -> list[bytes]:

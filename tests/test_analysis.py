@@ -6,6 +6,8 @@ import pytest
 
 from blrc.analysis import (
     EXHAUSTIVE_LIMIT,
+    _bits,
+    _ParitySet,
     _RepairSearch,
     avg_repair_bandwidth_double,
     avg_repair_bandwidth_single,
@@ -17,7 +19,7 @@ from blrc.analysis import (
 )
 from blrc.code import SystematicCode, UndecodableError, encode, support_of
 from blrc.gf import GF256
-from blrc.linalg import GfMatrix
+from blrc.linalg import GfMatrix, rank
 from util_oracles import (
     decodable_by_generator,
     minimal_repair_all_subsets,
@@ -122,6 +124,151 @@ def test_shared_search_tables_do_not_leak_between_patterns(code_16_10_w3):
             for pair in itertools.combinations(range(1, code.n + 1), 2):
                 fresh = _RepairSearch(code).minimal_repair(pair, lex_ties)
                 assert shared.minimal_repair(pair, lex_ties) == fresh, pair
+
+
+def _submasks(mask: int):
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def test_flats_hold_every_low_rank_row_set():
+    # for every parity set T, kappa 1 and 2 and every set of at most two
+    # erased parities outside T: every set F of more than kappa rows a
+    # pattern can leave unfetched, whose restricted rows extended by the
+    # erased parities' coefficients span at most kappa dimensions, lies in
+    # one flat; the flats themselves span at most kappa dimensions
+    rng = random.Random(404)
+    codes = [dense_global_code(5)]
+    while len(codes) < 7:
+        n = rng.randrange(8, 12)
+        k = rng.randrange(4, min(n - 2, 8) + 1)
+        w = min(k - 1, n - k, rng.randrange(2, 4))
+        code = random_valid_code(rng, n, k, w, GF256)
+        if code is not None:
+            codes.append(code)
+    checked = 0
+    for code in codes:
+        search = _RepairSearch(code)
+        for size in range(1, code.r + 1):
+            for T in itertools.combinations(range(code.r), size):
+                tab = _ParitySet(search.P, search.col_mask, T, code.field)
+                others = [p for p in range(code.r) if p not in T]
+                for e_pars in itertools.chain(
+                    *(itertools.combinations(others, j) for j in range(3))
+                ):
+                    par_mask = 0
+                    for p in e_pars:
+                        par_mask |= search.col_mask[p]
+                    rows = tab.multi | tab.t_mask & par_mask
+                    vec = {
+                        i: tab.restr[i] + [search.P[i][p] for p in e_pars]
+                        for i in _bits(rows)
+                    }
+                    rank_of = {
+                        F: rank(GfMatrix([vec[i] for i in _bits(F)], code.field))
+                        if F else 0
+                        for F in _submasks(rows)
+                    }
+                    for kappa in range(1, min(size, 2) + 1):
+                        flats = [f for _, f in tab.flats_of(kappa, e_pars, par_mask)]
+                        assert all(rank_of[f] <= kappa for f in flats)
+                        assert all(not f & ~rows for f in flats)
+                        for F in _submasks(rows):
+                            if F.bit_count() > kappa and rank_of[F] <= kappa:
+                                checked += 1
+                                assert any(not F & ~f for f in flats), (
+                                    T, e_pars, kappa, _bits(F)
+                                )
+    assert checked > 1000
+
+
+def _check_against_oracle(code, patterns):
+    searches = (_RepairSearch(code), _RepairSearch(code, flats=True))
+    for pattern in patterns:
+        expected = minimal_repair_all_subsets(code, pattern)
+        for search, lex_ties in itertools.product(searches, (True, False)):
+            if expected is None:
+                with pytest.raises(UndecodableError):
+                    search.minimal_repair(pattern, lex_ties)
+                continue
+            plan = search.minimal_repair(pattern, lex_ties)
+            assert plan.cost == expected[0], (pattern, search.flats, lex_ties)
+            if lex_ties:
+                assert plan.helpers == expected[1], (pattern, search.flats)
+
+
+def test_rows_proportional_across_parities_match_oracle():
+    # [10, 7]: rows 1-4 restrict to one direction on parities 8 and 9, so
+    # p8 + p9 = 3 * d5 and d5 is rebuilt from two blocks.  Erasing 8 or 9
+    # needs rows only one fetched parity covers to stay unfetched, and
+    # erasing 5 needs more unfetched rows than the erased data rows leave
+    # dimensions for
+    rows = [[1, 1, 0]] * 4 + [[1, 2, 1]] + [[0, 0, 1]] * 2
+    code = SystematicCode(GfMatrix([list(row) for row in rows], GF256))
+    assert minimal_repair(code, (5,)).helpers == (8, 9)
+    assert minimal_repair(code, (8,)).helpers == (5, 9)
+    blocks = range(1, code.n + 1)
+    _check_against_oracle(
+        code,
+        [(b,) for b in blocks] + list(itertools.combinations(blocks, 2)),
+    )
+
+
+def test_tie_inside_one_parity_set_takes_smallest_helpers():
+    # [6, 4]: p6 = p5 + 3 * (d3 + d4) = 2 * p5 + 3 * (d1 + d2), so with
+    # parity 5 alone either half of the data can stay unfetched
+    code = SystematicCode(GfMatrix([[1, 1], [1, 1], [1, 2], [1, 2]], GF256))
+    assert minimal_repair(code, (6,)).helpers == (1, 2, 5)
+    blocks = range(1, code.n + 1)
+    _check_against_oracle(
+        code,
+        [(b,) for b in blocks] + list(itertools.combinations(blocks, 2)),
+    )
+
+
+def test_small_alphabet_codes_match_oracle():
+    # coefficients drawn from {1, 2, 3} make rows proportional within a
+    # parity set far more often than random GF(2^8) coefficients do
+    rng = random.Random(17)
+    for _ in range(12):
+        k, r = rng.randrange(3, 8), rng.randrange(2, 5)
+        rows = [
+            [rng.choice((1, 2, 3)) if rng.random() < 0.6 else 0 for _ in range(r)]
+            for _ in range(k)
+        ]
+        code = SystematicCode(GfMatrix(rows, GF256))
+        blocks = range(1, code.n + 1)
+        patterns = [(b,) for b in blocks] + list(itertools.combinations(blocks, 2))
+        patterns += rng.sample(list(itertools.combinations(blocks, 3)), 5)
+        _check_against_oracle(code, patterns)
+
+
+def test_flats_search_matches_plain_search(code_16_10_w3):
+    # single, pair and triple patterns interleaved through one search that
+    # keeps its flats answer exactly as the public minimal_repair does
+    rng = random.Random(11)
+    for code in (code_16_10_w3, dense_global_code(5)):
+        shared = _RepairSearch(code, flats=True)
+        blocks = range(1, code.n + 1)
+        patterns = [(b,) for b in blocks]
+        patterns += rng.sample(list(itertools.combinations(blocks, 2)), 30)
+        patterns += rng.sample(list(itertools.combinations(blocks, 3)), 20)
+        rng.shuffle(patterns)
+        for pattern in patterns:
+            try:
+                expected = minimal_repair(code, pattern)
+            except UndecodableError:
+                with pytest.raises(UndecodableError):
+                    shared.minimal_repair(pattern)
+                continue
+            assert shared.minimal_repair(pattern) == expected, pattern
+            assert shared.minimal_repair(pattern, lex_ties=False).cost == (
+                expected.cost
+            ), pattern
 
 
 def test_plan_replay_reproduces_erased_blocks(code_15_10):

@@ -52,9 +52,10 @@ from .code import (
     UndecodableError,
     decodable,
     minimum_distance,
+    recovery_coefficients,
     update_complexity,
 )
-from .linalg import Basis, GfMatrix, insert_row, span_coefficients
+from .linalg import Basis, insert_row
 
 EXHAUSTIVE_LIMIT = 24
 """Largest code length for which repair plans are certified minimal."""
@@ -521,16 +522,10 @@ class _RepairSearch:
         return RepairPlan(tuple(erased), tuple(chosen), len(chosen), False)
 
     def _plan_feasible(self, plan: RepairPlan) -> bool:
-        cols = GfMatrix(
-            [
-                [self.code.generator_column(b)[i] for b in plan.helpers]
-                for i in range(self.k)
-            ],
-            self.code.field,
-        )
-        for e in plan.erased:
-            if span_coefficients(cols, self.code.generator_column(e)) is None:
-                return False
+        try:
+            recovery_coefficients(self.code, plan.helpers, plan.erased)
+        except UndecodableError:
+            return False
         return True
 
 
@@ -553,18 +548,9 @@ def repair_values(
     if missing:
         raise ValueError(f"missing helper values for blocks {missing}")
     fld = code.field
-    cols = GfMatrix(
-        [
-            [code.generator_column(b)[i] for b in plan.helpers]
-            for i in range(code.k)
-        ],
-        fld,
-    )
+    coeff_lists = recovery_coefficients(code, plan.helpers, plan.erased)
     out: dict[int, int] = {}
-    for e in plan.erased:
-        coeffs = span_coefficients(cols, code.generator_column(e))
-        if coeffs is None:
-            raise UndecodableError(plan.erased)
+    for e, coeffs in zip(plan.erased, coeff_lists):
         acc = 0
         for c, b in zip(coeffs, plan.helpers):
             if c:

@@ -198,45 +198,52 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _collect_shards(code, directory: Path, stem: str | None):
-    paths = sorted(directory.glob(f"{stem}.s[0-9][0-9]" if stem else "*.s[0-9][0-9]"))
-    if not paths:
-        raise CliError(f"no shard files found in {directory}")
+def _shard_stem(directory: Path, stem: str | None) -> str:
+    if stem:
+        return stem
+    paths = directory.glob("*.s[0-9][0-9]")
     stems = {p.name.rsplit(".s", 1)[0] for p in paths}
+    if not stems:
+        raise CliError(f"no shard files found in {directory}")
     if len(stems) > 1:
         raise CliError(
             f"multiple shard sets in {directory}: {sorted(stems)};"
             " pass --stem"
         )
+    return stems.pop()
+
+
+def _common_header(code_path: Path, headers) -> ShardHeader:
+    """The one header every shard shares but for its index; refuses shards
+    of another code file and headers that disagree on stripes or length."""
+    own = code_digest(code_path.read_text(encoding="ascii"))
+    foreign = sorted({h.code_digest for h in headers} - {own})
+    if foreign:
+        raise CliError(
+            "shard headers reference a different code file"
+            f" (expected digest {own[:12]}..., found {foreign[0][:12]}...)"
+        )
+    if len({(h.stripes, h.data_length) for h in headers}) > 1:
+        raise CliError("shard headers disagree on data length or stripes")
+    return headers[0]
+
+
+def cmd_decode(args) -> int:
+    code, _, path = _load_valid_code(args.codefile)
+    directory = Path(args.shards)
+    stem = _shard_stem(directory, args.stem)
+    paths = sorted(directory.glob(f"{stem}.s[0-9][0-9]"))
+    if not paths:
+        raise CliError(f"no shard files found in {directory}")
     shards = {}
-    headers = {}
+    headers = []
     for p in paths:
         header, payload = read_shard(p)
         if not 1 <= header.index <= code.n:
             raise CliError(f"{p}: shard index {header.index} out of range")
         shards[header.index] = payload
-        headers[header.index] = header
-    digests = {h.code_digest for h in headers.values()}
-    if len(digests) > 1:
-        raise CliError("shards were produced by different code files")
-    lengths = {h.data_length for h in headers.values()}
-    stripes = {h.stripes for h in headers.values()}
-    if len(lengths) > 1 or len(stripes) > 1:
-        raise CliError("shard headers disagree on data length or stripes")
-    return shards, lengths.pop(), stems.pop(), digests.pop()
-
-
-def cmd_decode(args) -> int:
-    code, _, path = _load_valid_code(args.codefile)
-    shards, data_length, _, digest = _collect_shards(
-        code, Path(args.shards), args.stem
-    )
-    own = code_digest(path.read_text(encoding="ascii"))
-    if digest != own:
-        raise CliError(
-            "shard headers reference a different code file"
-            f" (expected digest {own[:12]}..., found {digest[:12]}...)"
-        )
+        headers.append(header)
+    data_length = _common_header(path, headers).data_length
     data = decode_stream(code, shards, data_length)
     Path(args.out).write_bytes(data)
     missing = [b for b in range(1, code.n + 1) if b not in shards]
@@ -250,15 +257,7 @@ def cmd_decode(args) -> int:
 def cmd_repair(args) -> int:
     code, _, path = _load_valid_code(args.codefile)
     directory = Path(args.shards)
-    stem = args.stem
-    if stem is None:
-        candidates = sorted(directory.glob("*.s[0-9][0-9]"))
-        stems = {p.name.rsplit(".s", 1)[0] for p in candidates}
-        if len(stems) != 1:
-            raise CliError(
-                f"cannot infer shard stem in {directory}; pass --stem"
-            )
-        stem = stems.pop()
+    stem = _shard_stem(directory, args.stem)
     missing = [
         b
         for b in range(1, code.n + 1)
@@ -271,20 +270,21 @@ def cmd_repair(args) -> int:
         raise CliError(f"shard {args.index} is present; missing: {missing}")
     plan = minimal_repair(code, tuple(missing))
     helper_payloads = {}
-    header_info = None
+    headers = []
     for b in plan.helpers:
-        header, payload = read_shard(shard_path(directory, stem, b))
+        p = shard_path(directory, stem, b)
+        header, payload = read_shard(p)
+        if header.index != b:
+            raise CliError(f"{p}: header says shard {header.index}")
         helper_payloads[b] = payload
-        header_info = header
+        headers.append(header)
+    common = _common_header(path, headers)
     repaired = repair_stream(code, plan, helper_payloads)
     out_dir = Path(args.out_dir) if args.out_dir else directory
     out_dir.mkdir(parents=True, exist_ok=True)
     for idx, payload in repaired.items():
         header = ShardHeader(
-            header_info.code_digest,
-            idx,
-            header_info.stripes,
-            header_info.data_length,
+            common.code_digest, idx, common.stripes, common.data_length
         )
         write_shard(shard_path(out_dir, stem, idx), header, payload)
     print(

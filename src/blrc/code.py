@@ -21,13 +21,13 @@ systematic, k+1..n parity.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .gf import GF256, FieldSpec
-from .linalg import GfMatrix, SingularMatrixError, insert_row, rank, solve
+from .linalg import Basis, GfMatrix, insert_row, span_coefficients
 
 SupportPattern = tuple[tuple[int, ...], ...]
 """Per-row sorted tuples of 0-based parity-column indices (the nonzero
@@ -333,16 +333,11 @@ def assign_coefficients(
 def decodable(code: SystematicCode, erased: tuple[int, ...]) -> bool:
     """True iff the pattern is recoverable: the erased parity-check columns
     are linearly independent."""
-    f = len(erased)
-    if f == 0:
-        return True
-    if f > code.r:
-        return False
-    cols = [code.parity_check_column(b) for b in erased]
-    M = GfMatrix(
-        [[cols[j][i] for j in range(f)] for i in range(code.r)], code.field
+    basis: Basis = []
+    return all(
+        insert_row(basis, code.parity_check_column(b), code.field) is not None
+        for b in erased
     )
-    return rank(M) == f
 
 
 def encode(code: SystematicCode, data: list[int]) -> list[int]:
@@ -354,6 +349,27 @@ def encode(code: SystematicCode, data: list[int]) -> list[int]:
         if not 0 <= x < fld.order:
             raise ValueError(f"data symbol {x!r} outside GF(2^{fld.m})")
     return list(data) + code.P.vec_mul(data)
+
+
+def recovery_coefficients(
+    code: SystematicCode, helpers: Sequence[int], erased: tuple[int, ...]
+) -> list[list[int]]:
+    """One coefficient list per erased block, aligned with helpers: the
+    erased block is the XOR of coefficient * helper over the helpers.
+
+    Repair and decoding both ask this, decoding with every survivor as a
+    helper.  Raises UndecodableError(erased) when an erased generator
+    column lies outside the span of the helpers' columns.
+    """
+    cols = [code.generator_column(b) for b in helpers]
+    M = GfMatrix([[c[i] for c in cols] for i in range(code.k)], code.field)
+    out = []
+    for e in erased:
+        coeffs = span_coefficients(M, code.generator_column(e))
+        if coeffs is None:
+            raise UndecodableError(erased)
+        out.append(coeffs)
+    return out
 
 
 def decode_erasure(
@@ -380,13 +396,16 @@ def decode_erasure(
                 f" value {'missing' if v is None else 'present'}"
             )
     survivors = [b for b in range(1, code.n + 1) if b not in erased_set]
-    A = GfMatrix([code.generator_column(b) for b in survivors], code.field)
-    b_vec = [received[b - 1] for b in survivors]
-    try:
-        data = solve(A, b_vec)  # rows of A are survivor columns of G
-    except SingularMatrixError:
-        raise UndecodableError(tuple(sorted(erased_set))) from None
-    return encode(code, data)
+    lost = tuple(sorted(erased_set))
+    fld = code.field
+    out = list(received)
+    for e, coeffs in zip(lost, recovery_coefficients(code, survivors, lost)):
+        acc = 0
+        for c, b in zip(coeffs, survivors):
+            if c:
+                acc ^= fld.mul(c, received[b - 1])
+        out[e - 1] = acc
+    return out
 
 
 def gopalan_bound(n: int, k: int, l: int) -> int:
@@ -397,22 +416,23 @@ def gopalan_bound(n: int, k: int, l: int) -> int:
 
 
 def minimum_distance(code: SystematicCode) -> int:
-    """Verified minimum distance: the smallest f for which some f-block
-    erasure pattern is undecodable, by exhaustive search.
+    """Verified minimum distance: the smallest f for which some f blocks
+    have dependent parity-check columns (an undecodable erasure pattern),
+    by a depth-first search with depth 1, 2, ...
 
     For balanced LRCs the result is cross-checked against the locality
     distance bound.
     """
-    blocks = range(1, code.n + 1)
-    d = None
-    for f in range(1, code.r + 2):
-        for pattern in itertools.combinations(blocks, f):
-            if not decodable(code, pattern):
-                d = f
-                break
-        if d is not None:
-            break
-    assert d is not None  # r+1 erasures are never decodable
+    H = GfMatrix(
+        [code.parity_check_column(b) for b in range(1, code.n + 1)],
+        code.field,
+    )
+    # r+1 erasures are never decodable, so next() always finds a depth
+    d = next(
+        f
+        for f in range(1, code.r + 2)
+        if _first_dependent_subset(H, f) is not None
+    )
     if isinstance(code, BlrcCode):
         bound = gopalan_bound(code.n, code.k, effective_locality(code.spec))
         if d > bound:

@@ -176,18 +176,11 @@ def solve(A: GfMatrix, b: list[int]) -> list[int]:
     Raises SingularMatrixError when the system is rank-deficient or
     inconsistent.
     """
-    if len(b) != A.rows:
-        raise ValueError("dimension mismatch")
-    aug = [list(row) + [bv] for row, bv in zip(A.data, b)]
-    reduced, pivots = _eliminate(aug, A.field)
-    if pivots and pivots[-1] == A.cols:
+    x = span_coefficients(A, b)
+    if x is None:
         raise SingularMatrixError("inconsistent system")
-    if len(pivots) < A.cols:
+    if rank(A) < A.cols:
         raise SingularMatrixError("rank-deficient system")
-    field = A.field
-    x = [0] * A.cols
-    for r, c in enumerate(pivots):
-        x[c] = field.div(reduced[r][A.cols], reduced[r][c])
     return x
 
 

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import RepairPlan
-from .code import SystematicCode, UndecodableError
+from .code import SystematicCode, recovery_coefficients
 from .gf import FieldSpec
-from .linalg import GfMatrix, span_coefficients
 
 SHARD_MAGIC = "blrc-shard v1"
 
@@ -91,27 +90,12 @@ def decode_stream(
     if data_length > stripes * k:
         raise ShardError("data length exceeds shard capacity")
     present = sorted(shards)
-    missing_data = [b for b in range(1, k + 1) if b not in shards]
-    if missing_data:
-        erased = tuple(b for b in range(1, code.n + 1) if b not in shards)
-        cols = GfMatrix(
-            [
-                [code.generator_column(b)[i] for b in present]
-                for i in range(k)
-            ],
-            code.field,
-        )
-        streams = dict(shards)
-        for b in missing_data:
-            coeffs = span_coefficients(cols, code.generator_column(b))
-            if coeffs is None:
-                raise UndecodableError(erased)
-            parts = [
-                (c, shards[h]) for c, h in zip(coeffs, present) if c
-            ]
+    erased = tuple(b for b in range(1, code.n + 1) if b not in shards)
+    streams = dict(shards)
+    for b, coeffs in zip(erased, recovery_coefficients(code, present, erased)):
+        if b <= k:
+            parts = [(c, shards[h]) for c, h in zip(coeffs, present)]
             streams[b] = _accumulate(parts, code.field, stripes)
-    else:
-        streams = shards
     out = bytearray(stripes * k)
     for i in range(k):
         out[i::k] = streams[i + 1]
@@ -132,23 +116,15 @@ def repair_stream(
     if len(lengths) != 1:
         raise ShardError("helper payload lengths differ")
     stripes = lengths.pop()
-    cols = GfMatrix(
-        [
-            [code.generator_column(b)[i] for b in plan.helpers]
-            for i in range(code.k)
-        ],
-        code.field,
-    )
-    out = {}
-    for e in plan.erased:
-        coeffs = span_coefficients(cols, code.generator_column(e))
-        if coeffs is None:
-            raise UndecodableError(plan.erased)
-        parts = [
-            (c, helper_payloads[h]) for c, h in zip(coeffs, plan.helpers) if c
-        ]
-        out[e] = _accumulate(parts, code.field, stripes)
-    return out
+    coeff_lists = recovery_coefficients(code, plan.helpers, plan.erased)
+    return {
+        e: _accumulate(
+            [(c, helper_payloads[h]) for c, h in zip(coeffs, plan.helpers)],
+            code.field,
+            stripes,
+        )
+        for e, coeffs in zip(plan.erased, coeff_lists)
+    }
 
 
 def shard_path(directory: Path, stem: str, index: int) -> Path:

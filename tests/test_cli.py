@@ -117,6 +117,47 @@ def test_decode_refuses_foreign_shards(capsys, code_file, tmp_path):
     assert "different code file" in err
 
 
+def test_repair_refuses_foreign_shards(capsys, code_file, tmp_path):
+    src = tmp_path / "a.bin"
+    src.write_bytes(b"hello world" * 10)
+    shard_dir = tmp_path / "shards"
+    rc, *_ = run(capsys, "encode", str(code_file), str(src),
+                 "--out-dir", str(shard_dir))
+    assert rc == 0
+    victim = shard_dir / "a.bin.s05"
+    victim.unlink()
+    other = tmp_path / "other.code"
+    other.write_text(
+        write_code_text(blrc_15_10_w3(seed=160)), encoding="ascii"
+    )
+    rc, _, err = run(capsys, "repair", str(other), "--shards", str(shard_dir))
+    assert rc == 1
+    assert "different code file" in err
+    assert not victim.exists()
+
+
+def test_repair_refuses_renamed_shard(capsys, code_file, tmp_path):
+    # repair finds helpers by file name; a shard whose header names
+    # another index would rebuild the lost shard from the wrong block
+    src = tmp_path / "a.bin"
+    src.write_bytes(b"hello world" * 10)
+    shard_dir = tmp_path / "shards"
+    rc, *_ = run(capsys, "encode", str(code_file), str(src),
+                 "--out-dir", str(shard_dir))
+    assert rc == 0
+    victim = shard_dir / "a.bin.s05"
+    victim.unlink()
+    first, second = shard_dir / "a.bin.s01", shard_dir / "a.bin.s02"
+    body = first.read_bytes()
+    first.write_bytes(second.read_bytes())
+    second.write_bytes(body)
+    rc, _, err = run(capsys, "repair", str(code_file),
+                     "--shards", str(shard_dir))
+    assert rc == 1
+    assert "header says shard" in err
+    assert not victim.exists()
+
+
 def test_search_cli_writes_valid_code(capsys, tmp_path):
     out = tmp_path / "found.code"
     trace = tmp_path / "trace.csv"

@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
-from blrc.analysis import minimal_repair
-from blrc.code import UndecodableError, encode
+from blrc.analysis import minimal_repair, repair_values
+from blrc.code import UndecodableError, decodable, decode_erasure, encode
 from blrc.gf import FieldSpec
 from blrc.sharding import (
     ShardError,
@@ -48,6 +49,64 @@ def test_shards_agree_with_symbol_encoding(code_15_10):
         assert [shards[b][stripe] for b in range(15)] == cw
 
 
+def test_shards_agree_with_symbol_recovery(code_15_10):
+    # stripe by stripe, the stream paths rebuild what the symbol paths do,
+    # for every decodable pattern of up to three blocks
+    rng = random.Random(4)
+    stripes = 3
+    data = bytes(rng.randrange(256) for _ in range(stripes * 10))
+    shards = encode_stream(code_15_10, data)
+    codewords = [[shards[b][s] for b in range(15)] for s in range(stripes)]
+    patterns = [
+        pattern
+        for f in (1, 2, 3)
+        for pattern in itertools.combinations(range(1, 16), f)
+        if decodable(code_15_10, pattern)
+    ]
+    assert len(patterns) == 15 + 105 + 455
+    for pattern in patterns:
+        partial = {
+            b: shards[b - 1] for b in range(1, 16) if b not in pattern
+        }
+        assert decode_stream(code_15_10, partial, len(data)) == data
+        plan = minimal_repair(code_15_10, pattern)
+        rebuilt = repair_stream(
+            code_15_10, plan, {b: shards[b - 1] for b in plan.helpers}
+        )
+        for s, cw in enumerate(codewords):
+            received = [
+                None if b in pattern else cw[b - 1] for b in range(1, 16)
+            ]
+            decoded = decode_erasure(code_15_10, received, pattern)
+            assert bytes(decoded[:10]) == data[s * 10 : (s + 1) * 10]
+            values = repair_values(
+                code_15_10, plan, {b: cw[b - 1] for b in plan.helpers}
+            )
+            assert values == {e: rebuilt[e][s] for e in pattern}
+            assert values == {e: decoded[e - 1] for e in pattern}
+
+
+def test_symbol_recovery_round_trip_gf65536():
+    # the symbol paths take any field; the stream paths only GF(2^8)
+    from blrc.presets import blrc_15_10_w3
+
+    field = FieldSpec(16, 0x1100B)
+    code = blrc_15_10_w3(field=field)
+    rng = random.Random(5)
+    data = [rng.randrange(field.order) for _ in range(10)]
+    cw = encode(code, data)
+    assert max(cw[10:]) > 255
+    for pattern in [(1,), (3, 12), (1, 2, 3), (9, 14, 15), (11, 12, 13)]:
+        received = [None if b in pattern else cw[b - 1] for b in range(1, 16)]
+        assert decode_erasure(code, received, pattern) == cw
+        plan = minimal_repair(code, pattern)
+        helpers = {b: cw[b - 1] for b in plan.helpers}
+        values = repair_values(code, plan, helpers)
+        assert values == {e: cw[e - 1] for e in pattern}
+    with pytest.raises(ShardError):
+        encode_stream(code, b"abc")
+
+
 def test_decode_with_missing_shards(code_15_10):
     rng = random.Random(2)
     data = bytes(rng.randrange(256) for _ in range(997))
@@ -68,8 +127,9 @@ def test_decode_undecodable_pattern_raises(code_15_10):
     partial = {
         i + 1: s for i, s in enumerate(shards) if (i + 1) not in erased
     }
-    with pytest.raises(UndecodableError):
+    with pytest.raises(UndecodableError) as exc:
         decode_stream(code_15_10, partial, len(data))
+    assert exc.value.pattern == tuple(sorted(erased))
 
 
 def test_repair_stream_matches_original(code_15_10):

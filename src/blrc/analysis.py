@@ -30,10 +30,11 @@ vectors share a direction), stored as a row bitmask, only when it holds
 more than kappa rows.  The vectors of the rows a plan leaves unfetched
 span at most kappa dimensions, so more than kappa of them lie in one
 flat; the largest flat cut to a pattern's pool bounds the search before
-it tests anything.  Only lines and planes (kappa 1 and 2) are built, at a
-cost linear in the number of directions.  Building them costs more than
-a single query saves, so only the double-repair average, which asks
-every pair of one code, builds them.
+it tests anything.  One recursion builds them: a flat is its first
+direction with a (kappa - 1)-flat of the quotient by that direction, and
+lines are the base case.  Only kappa 1 to FLAT_KAPPA_MAX are built.
+Building them costs more than a single query saves, so only the
+double-repair average, which asks every pair of one code, builds them.
 
 Every candidate is verified by an exact span test, so the result is
 identical to a plain size-ordered search over all survivor subsets (the
@@ -59,6 +60,13 @@ from .linalg import Basis, insert_row
 
 EXHAUSTIVE_LIMIT = 24
 """Largest code length for which repair plans are certified minimal."""
+
+FLAT_KAPPA_MAX = 3
+"""Largest kappa whose flats bound the double-average search, set by
+measurement: flats of kappa 4 as well take 3.6 times the row insertions
+of [16, 10] w=2 double averages (65k against 18k over eight random
+codes), save none on the catalogue codes and pay off only beyond
+n = 24."""
 
 ErasurePattern = tuple[int, ...]
 
@@ -147,10 +155,9 @@ class _ParitySet:
     def flats_of(
         self, kappa: int, e_pars: tuple[int, ...], par_mask: int
     ) -> list[tuple[int, int]]:
-        """(row count, row mask) of every flat of kappa (1 or 2: a line
-        or a plane) with more than kappa rows, largest first, for patterns
-        erasing the parities e_pars (par_mask is the union of their
-        supports).
+        """(row count, row mask) of every flat of kappa with more than
+        kappa rows, largest first, for patterns erasing the parities e_pars
+        (par_mask is the union of their supports).
 
         The rows are those such a pattern can leave unfetched: multi and
         the rows of T in par_mask.  Each row's vector is its restricted
@@ -177,7 +184,7 @@ class _ParitySet:
     def _build_flats(self, kappa: int, items) -> list[int]:
         fld = self.field
         # one direction per class of proportional vectors: the lines
-        _, members = _residual_classes([], items, fld)
+        members = _residual_classes([], items, fld)
         dirs = list(members.items())
         basis: Basis = []
         dim = 0
@@ -188,40 +195,62 @@ class _ParitySet:
                     break
         else:
             return [sum(mask for _, mask in items)]  # at most kappa dimensions
-        if kappa == 1:
-            return list(members.values())
-        # A plane is found from its first direction: the later directions
-        # whose residuals modulo that one are proportional lie in it.
-        flats: set[int] = set()
-        for j, (d, rows) in enumerate(dirs):
-            basis = []
-            insert_row(basis, d, fld)
-            _, groups = _residual_classes(basis, dirs[j + 1 :], fld)
-            flats.update(rows | g for g in groups.values())
-        return list(flats)
+        return _flats_above(dirs, kappa, kappa, fld)
+
+
+def _flats_above(dirs, kappa: int, need: int, field) -> list[int]:
+    """Row masks of the kappa-flats of dirs, (direction, row mask) pairs of
+    pairwise independent directions, that hold more than need rows.
+
+    A flat is found from its first direction d: the residuals of the later
+    directions modulo d, split into proportional classes, are the
+    directions of the quotient by d, and the flat is d with the rows of a
+    (kappa - 1)-flat of that quotient.  Lines are the base case.  The
+    residuals have zeros where d leads, so the quotient's own residuals
+    need only its own direction in the basis.  When dirs span at least
+    kappa dimensions, every set of more than need rows spanning at most
+    kappa of them lies in a returned flat.
+    """
+    if kappa == 1:
+        return [rows for _, rows in dirs if rows.bit_count() > need]
+    out = []
+    left = sum(rows.bit_count() for _, rows in dirs)
+    for j, (d, rows) in enumerate(dirs):
+        if left <= need or len(dirs) - j < kappa:
+            break  # a later flat holds too few rows or directions
+        count = rows.bit_count()
+        left -= count
+        basis: Basis = []
+        insert_row(basis, d, field)
+        quotient = _residual_classes(basis, dirs[j + 1 :], field)
+        out.extend(
+            rows | f
+            for f in _flats_above(
+                list(quotient.items()), kappa - 1, need - count, field
+            )
+        )
+    return out
 
 
 def _residual_classes(
     basis: Basis, items, field
-) -> tuple[int, dict[tuple[int, ...], int]]:
+) -> dict[tuple[int, ...], int]:
     """Split (vector, row mask) items by their residual modulo the span of
-    basis: the rows of the vectors inside the span, and the rows of each
-    class of proportional residuals, keyed by the residual scaled to a
-    leading 1."""
+    basis: the rows of each class of proportional residuals, keyed by the
+    residual scaled to a leading 1.  Vectors inside the span are left
+    out."""
     exp, log = field._exp, field._log
     q1 = field.order - 1
-    inside = 0
     classes: dict[tuple[int, ...], int] = {}
     for vec, rows in items:
         lead = insert_row(basis, vec, field)
         if lead is None:
-            inside |= rows
             continue
         res = basis.pop()[1]
         inv = q1 - log[res[lead]]
         key = tuple(exp[log[x] + inv] if x else 0 for x in res)
         classes[key] = classes.get(key, 0) | rows
-    return inside, classes
+    return classes
 
 
 def _largest_extension(
@@ -427,10 +456,8 @@ class _RepairSearch:
         # columns have to produce one unit vector per erased data row
         # vanishing on F, and match every erased parity on F.  Any kappa
         # rows of the pool qualify; a larger F lies inside one flat of T
-        # cut to the pool.  Only lines and planes are built: their cost is
-        # linear in the number of directions, while for kappa >= 3 it grows
-        # as C(directions, kappa - 1) and outweighs the search it saves.
-        if self.flats and 0 < kappa <= 2 and kappa < n_pool:
+        # cut to the pool.
+        if self.flats and 0 < kappa <= FLAT_KAPPA_MAX and kappa < n_pool:
             f_hi = kappa
             for size, flat in tab.flats_of(kappa, tuple(e_pars), par_mask):
                 if size <= f_hi:

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import sys
 from pathlib import Path
 
 from . import presets
-from .analysis import build_report, minimal_repair
+from .analysis import build_report, decodability_profile, minimal_repair
 from .code import ConstructionError, UndecodableError, validate
 from .codefile import (
     CodeFileError,
@@ -145,21 +146,25 @@ def cmd_search(args) -> int:
 
 def cmd_analyze(args) -> int:
     code, _, _ = _load_valid_code(args.codefile)
-    report = build_report(code, f_max=args.fmax)
+    if args.fmax is not None and not 1 <= args.fmax <= code.n:
+        raise CliError(f"--fmax {args.fmax} outside 1..{code.n}")
+    # the chain needs the full-depth profile even when the displayed
+    # report is cut or deepened with --fmax
+    report = build_report(code)
+    shown = report
+    if args.fmax is not None:
+        shown = dataclasses.replace(
+            report, decodability=decodability_profile(code, args.fmax)
+        )
     stripe = system = units = None
     if args.params or args.with_mttdl:
         params = _params_from_args(args)
-        # the chain needs the full-depth profile even when the displayed
-        # report was truncated with --fmax
-        model_report = (
-            report if args.fmax is None else build_report(code)
-        )
-        model = build_model(model_report, code.n, code.k, params)
+        model = build_model(report, code.n, code.k, params)
         stripe = mttdl_stripe(model)
         system = mttdl_system(stripe, code.n, params)
         units = params.units
     _emit(
-        render_report(report, code.n, code.k, stripe, system, units),
+        render_report(shown, code.n, code.k, stripe, system, units),
         args.out,
     )
     return 0

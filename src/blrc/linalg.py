@@ -184,11 +184,6 @@ def solve(A: GfMatrix, b: list[int]) -> list[int]:
     return x
 
 
-def in_span(target: list[int], columns: GfMatrix) -> bool:
-    """True iff target lies in the column span of `columns`."""
-    return span_coefficients(columns, target) is not None
-
-
 def span_coefficients(columns: GfMatrix, target: list[int]) -> list[int] | None:
     """Coefficients x with columns @ x = target, or None if target is
     outside the column span.

@@ -32,8 +32,8 @@ from .code import (
 from .gf import GF256, FieldSpec
 
 # Sized so a default [16, 10] d=4 search stays well under five minutes of
-# pure-Python objective evaluations (130-160 ms per [16, 10] w=3 candidate,
-# about 40 s per default search, on a 2-vCPU Intel Xeon VM with Python 3.11).
+# pure-Python objective evaluations (125-155 ms per [16, 10] w=3 candidate,
+# about 42 s per default search, on a 2-vCPU Intel Xeon VM with Python 3.11).
 DEFAULT_MAX_ITERATIONS = 200
 DEFAULT_PATIENCE = 50
 DEFAULT_RESTARTS = 3

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from blrc import analysis
 from blrc.analysis import (
     EXHAUSTIVE_LIMIT,
+    FLAT_KAPPA_MAX,
     _bits,
     _ParitySet,
     _RepairSearch,
@@ -136,11 +138,12 @@ def _submasks(mask: int):
 
 
 def test_flats_hold_every_low_rank_row_set():
-    # for every parity set T, kappa 1 and 2 and every set of at most two
-    # erased parities outside T: every set F of more than kappa rows a
-    # pattern can leave unfetched, whose restricted rows extended by the
-    # erased parities' coefficients span at most kappa dimensions, lies in
-    # one flat; the flats themselves span at most kappa dimensions
+    # for every parity set T, every kappa flats are built for and every
+    # set of at most two erased parities outside T: every set F of more
+    # than kappa rows a pattern can leave unfetched, whose restricted rows
+    # extended by the erased parities' coefficients span at most kappa
+    # dimensions, lies in one flat; the flats themselves span at most
+    # kappa dimensions
     rng = random.Random(404)
     codes = [dense_global_code(5)]
     while len(codes) < 7:
@@ -173,7 +176,7 @@ def test_flats_hold_every_low_rank_row_set():
                         if F else 0
                         for F in _submasks(rows)
                     }
-                    for kappa in range(1, min(size, 2) + 1):
+                    for kappa in range(1, min(size, FLAT_KAPPA_MAX) + 1):
                         flats = [f for _, f in tab.flats_of(kappa, e_pars, par_mask)]
                         assert all(rank_of[f] <= kappa for f in flats)
                         assert all(not f & ~rows for f in flats)
@@ -184,6 +187,22 @@ def test_flats_hold_every_low_rank_row_set():
                                     T, e_pars, kappa, _bits(F)
                                 )
     assert checked > 1000
+
+
+def test_flats_bound_the_double_average_work(code_16_10_w3, monkeypatch):
+    # the flats change no plan, only how often the depth-first search
+    # runs: with flats of kappa at most 2 it runs 928 times here
+    calls = 0
+    search = analysis._largest_extension
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return search(*args)
+
+    monkeypatch.setattr(analysis, "_largest_extension", counted)
+    assert avg_repair_bandwidth_double(code_16_10_w3).mean_cost == 888 / 120
+    assert calls <= 298
 
 
 def _check_against_oracle(code, patterns):
@@ -199,6 +218,18 @@ def _check_against_oracle(code, patterns):
             assert plan.cost == expected[0], (pattern, search.flats, lex_ties)
             if lex_ties:
                 assert plan.helpers == expected[1], (pattern, search.flats)
+
+
+def test_dense_global_pairs_and_triples_match_oracle():
+    # four dense global parities give parity sets with kappa 3, where the
+    # flats of three directions bound the search; in both tie modes its
+    # plans are the all-subsets oracle's
+    code = dense_global_code(28)
+    blocks = range(1, code.n + 1)
+    rng = random.Random(8)
+    patterns = rng.sample(list(itertools.combinations(blocks, 2)), 40)
+    patterns += rng.sample(list(itertools.combinations(blocks, 3)), 10)
+    _check_against_oracle(code, patterns)
 
 
 def test_rows_proportional_across_parities_match_oracle():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from blrc import analysis, cli
 from blrc.cli import main
 from blrc.codefile import read_code_text, write_code_text
 from blrc.presets import blrc_15_10_w3
@@ -38,6 +39,48 @@ def test_analyze_fmax_and_params(capsys, code_file, tmp_path):
     assert "decodability_p4" in out
     assert "decodability_p5" not in out
     assert "mttdl_system" in out
+
+
+@pytest.mark.parametrize("fmax", ["0", "16"])
+def test_analyze_rejects_fmax_outside_code_length(capsys, monkeypatch, fmax):
+    # refused before any metric is computed
+    monkeypatch.setattr(cli, "build_report", None)
+    rc, _, err = run(capsys, "analyze", "blrc-15-10-w3", "--fmax", fmax)
+    assert rc == 1
+    assert err.startswith("error:") and "1..15" in err
+
+
+def test_analyze_fmax_with_mttdl_builds_one_report(capsys, monkeypatch):
+    reports = []
+
+    def counted(code):
+        reports.append(analysis.build_report(code))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "build_report", counted)
+    rc, out, _ = run(
+        capsys, "analyze", "blrc-15-10-w3", "--fmax", "4", "--with-mttdl"
+    )
+    assert rc == 0
+    assert len(reports) == 1
+    assert out.splitlines() == [
+        "blrc-report v1",
+        "n 15 blocks",
+        "k 10 blocks",
+        "storage_overhead 0.5 ratio",
+        "avg_repair_single 6 blocks",
+        "avg_repair_double 9 blocks",
+        "avg_column_weight 6 blocks",
+        "update_complexity 4 writes",
+        "min_distance 4 blocks",
+        "decodability_p1 1.000000 probability",
+        "decodability_p2 1.000000 probability",
+        "decodability_p3 1.000000 probability",
+        "decodability_p4 0.992674 probability",
+        "mttdl_stripe 2.63237e+21 days",
+        "mttdl_system 3.36944e+14 days",
+        "units decimal convention",
+    ]
 
 
 def test_analyze_rejects_invalid_code(capsys, tmp_path):

@@ -8,7 +8,6 @@ from blrc.gf import GF256
 from blrc.linalg import (
     GfMatrix,
     SingularMatrixError,
-    in_span,
     insert_row,
     rank,
     solve,
@@ -133,11 +132,11 @@ def test_insert_row_matches_rank_and_span(seed):
     assert any(lead >= na for lead in leads) == (rank(M) > rank(left))
 
 
-def test_in_span_zero_and_members():
+def test_span_coefficients_zero_and_members():
     M = GfMatrix([[1, 0], [0, 1], [0, 0]], GF256)
-    assert in_span([0, 0, 0], M)
-    assert in_span([1, 0, 0], M)
-    assert not in_span([0, 0, 1], M)
+    assert span_coefficients(M, [0, 0, 0]) is not None
+    assert span_coefficients(M, [1, 0, 0]) is not None
+    assert span_coefficients(M, [0, 0, 1]) is None
 
 
 def test_span_coefficients_reconstruct():

@@ -4,7 +4,7 @@ system MTTDL curves as CSV (scheme, mttf_years, gamma_gbps, mttdl_days).
 Usage: python scripts/mttdl_sweep.py [output.csv]
 """
 
-import sys
+import argparse
 from pathlib import Path
 
 from blrc.analysis import build_report
@@ -44,5 +44,14 @@ def run(out_path: Path) -> None:
     print(f"wrote {len(rows) - 1} rows to {out_path}")
 
 
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "out_path", nargs="?", type=Path, default=Path("out/mttdl_sweep.csv"),
+        help="CSV file to write (default: out/mttdl_sweep.csv)",
+    )
+    run(parser.parse_args(argv).out_path)
+
+
 if __name__ == "__main__":
-    run(Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out/mttdl_sweep.csv"))
+    main()

@@ -35,6 +35,14 @@ direction with a (kappa - 1)-flat of the quotient by that direction, and
 lines are the base case.  Only kappa 1 to FLAT_KAPPA_MAX are built.
 Building them costs more than a single query saves, so only the
 double-repair average, which asks every pair of one code, builds them.
+A pattern that erases no data block is the only reader of its table (its
+kappa is |T| and its erased parities are the whole pattern), so it builds
+just the flats that could beat its query's cost cap and keeps none.
+
+The elimination runs in two one-call kernels of linalg.py:
+proportional_classes splits the residuals of the flat recursion into
+proportional classes, and the depth-first search inserts with
+echelon_insert, whose basis never stores a row it rejects.
 
 Every candidate is verified by an exact span test, so the result is
 identical to a plain size-ordered search over all survivor subsets (the
@@ -56,7 +64,13 @@ from .code import (
     recovery_coefficients,
     update_complexity,
 )
-from .linalg import Basis, insert_row
+from .linalg import (
+    Basis,
+    LogBasis,
+    echelon_insert,
+    insert_row,
+    proportional_classes,
+)
 
 EXHAUSTIVE_LIMIT = 24
 """Largest code length for which repair plans are certified minimal."""
@@ -153,11 +167,17 @@ class _ParitySet:
         self.flats: dict[tuple, list[tuple[int, int]]] = {}
 
     def flats_of(
-        self, kappa: int, e_pars: tuple[int, ...], par_mask: int
+        self,
+        kappa: int,
+        e_pars: tuple[int, ...],
+        par_mask: int,
+        need: int | None = None,
     ) -> list[tuple[int, int]]:
-        """(row count, row mask) of every flat of kappa with more than
-        kappa rows, largest first, for patterns erasing the parities e_pars
-        (par_mask is the union of their supports).
+        """(row count, row mask) of every flat of kappa with more than need
+        rows (need defaults to kappa), largest first, for patterns erasing
+        the parities e_pars (par_mask is the union of their supports).
+        Only the default table is kept; one with a larger need serves a
+        single query and is built for it alone.
 
         The rows are those such a pattern can leave unfetched: multi and
         the rows of T in par_mask.  Each row's vector is its restricted
@@ -169,33 +189,36 @@ class _ParitySet:
         directions, or all the rows.  Any kappa rows qualify, so only the
         flats with more rows tell anything.
         """
+        if need is not None:
+            return self._build_flats(kappa, e_pars, par_mask, need)
         flats = self.flats.get((kappa, e_pars))
         if flats is None:
-            rows = self.multi | self.t_mask & par_mask
-            items = [
-                (self.restr[i] + [self.P[i][p] for p in e_pars], 1 << i)
-                for i in _bits(rows)
-            ]
-            sizes = ((m.bit_count(), m) for m in self._build_flats(kappa, items))
-            flats = sorted((f for f in sizes if f[0] > kappa), reverse=True)
+            flats = self._build_flats(kappa, e_pars, par_mask, kappa)
             self.flats[kappa, e_pars] = flats
         return flats
 
-    def _build_flats(self, kappa: int, items) -> list[int]:
+    def _build_flats(
+        self, kappa: int, e_pars: tuple[int, ...], par_mask: int, need: int
+    ) -> list[tuple[int, int]]:
         fld = self.field
+        rows = self.multi | self.t_mask & par_mask
+        items = [
+            (self.restr[i] + [self.P[i][p] for p in e_pars], 1 << i)
+            for i in _bits(rows)
+        ]
         # one direction per class of proportional vectors: the lines
-        members = _residual_classes([], items, fld)
-        dirs = list(members.items())
+        dirs = list(proportional_classes(None, items, fld).items())
+        masks = [rows]  # while the rows span at most kappa dimensions
         basis: Basis = []
         dim = 0
         for d, _ in dirs:
             if insert_row(basis, d, fld) is not None:
                 dim += 1
                 if dim > kappa:
+                    masks = _flats_above(dirs, kappa, need, fld)
                     break
-        else:
-            return [sum(mask for _, mask in items)]  # at most kappa dimensions
-        return _flats_above(dirs, kappa, kappa, fld)
+        sizes = ((m.bit_count(), m) for m in masks)
+        return sorted((f for f in sizes if f[0] > need), reverse=True)
 
 
 def _flats_above(dirs, kappa: int, need: int, field) -> list[int]:
@@ -207,7 +230,7 @@ def _flats_above(dirs, kappa: int, need: int, field) -> list[int]:
     directions of the quotient by d, and the flat is d with the rows of a
     (kappa - 1)-flat of that quotient.  Lines are the base case.  The
     residuals have zeros where d leads, so the quotient's own residuals
-    need only its own direction in the basis.  When dirs span at least
+    need only its own direction to reduce by.  When dirs span at least
     kappa dimensions, every set of more than need rows spanning at most
     kappa of them lies in a returned flat.
     """
@@ -220,9 +243,7 @@ def _flats_above(dirs, kappa: int, need: int, field) -> list[int]:
             break  # a later flat holds too few rows or directions
         count = rows.bit_count()
         left -= count
-        basis: Basis = []
-        insert_row(basis, d, field)
-        quotient = _residual_classes(basis, dirs[j + 1 :], field)
+        quotient = proportional_classes(d, dirs[j + 1 :], field)
         out.extend(
             rows | f
             for f in _flats_above(
@@ -232,29 +253,8 @@ def _flats_above(dirs, kappa: int, need: int, field) -> list[int]:
     return out
 
 
-def _residual_classes(
-    basis: Basis, items, field
-) -> dict[tuple[int, ...], int]:
-    """Split (vector, row mask) items by their residual modulo the span of
-    basis: the rows of each class of proportional residuals, keyed by the
-    residual scaled to a leading 1.  Vectors inside the span are left
-    out."""
-    exp, log = field._exp, field._log
-    q1 = field.order - 1
-    classes: dict[tuple[int, ...], int] = {}
-    for vec, rows in items:
-        lead = insert_row(basis, vec, field)
-        if lead is None:
-            continue
-        res = basis.pop()[1]
-        inv = q1 - log[res[lead]]
-        key = tuple(exp[log[x] + inv] if x else 0 for x in res)
-        classes[key] = classes.get(key, 0) | rows
-    return classes
-
-
 def _largest_extension(
-    basis: Basis,
+    basis: LogBasis,
     vecs: list[list[int]],
     na: int,
     field,
@@ -272,7 +272,8 @@ def _largest_extension(
     that inserts one vector at a time drops every prefix that fails.  The
     first pass includes before it excludes and finds the largest size; the
     second excludes first, so the first set of that size it reaches is the
-    lexicographically first.  basis comes back with extra rows.
+    lexicographically first.  basis only ever holds rows leading below na,
+    so a rejected vector is never stored; it comes back with extra rows.
     """
     if beat >= hi:
         return None
@@ -289,15 +290,16 @@ def _largest_extension(
             best = len(chosen)
             found = list(chosen)
             return best >= hi
-        lead = insert_row(basis, vecs[j], field)
-        stop = False
+        lead = echelon_insert(basis, vecs[j], na, field)
         if lead is None or lead < na:
             chosen.append(j)
             stop = largest(j + 1)
             chosen.pop()
-        if lead is not None:
-            basis.pop()
-        return stop or largest(j + 1)
+            if lead is not None:
+                basis.pop()
+            if stop:
+                return True
+        return largest(j + 1)
 
     largest(0)
     if best == beat:
@@ -312,14 +314,14 @@ def _largest_extension(
             return False
         if first(j + 1):
             return True
-        lead = insert_row(basis, vecs[j], field)
+        lead = echelon_insert(basis, vecs[j], na, field)
         if lead is None or lead < na:
             chosen.append(j)
             if first(j + 1):
                 return True
             chosen.pop()
-        if lead is not None:
-            basis.pop()
+            if lead is not None:
+                basis.pop()
         return False
 
     first(0)
@@ -444,11 +446,14 @@ class _RepairSearch:
         pool_mask = (tab.multi | tab.t_mask & par_mask) & ~e_mask
         forced_mask = (tab.t_mask | par_mask) & ~e_mask & ~pool_mask
 
+        # leaving f pool rows unfetched costs base + n_pool - f, which
+        # beats cost_cap only when f > beat
         base = len(T) + forced_mask.bit_count()
         n_pool = pool_mask.bit_count()
+        beat = n_pool - (cost_cap - base)
         kappa = len(T) - len(e_rows)
         f_hi = n_pool if kappa > 0 else 0
-        if kappa < 0 or base + n_pool - f_hi >= cost_cap:
+        if kappa < 0 or f_hi <= beat:
             return None
 
         # The unfetched rows F, each extended by its coefficients in the
@@ -456,14 +461,19 @@ class _RepairSearch:
         # columns have to produce one unit vector per erased data row
         # vanishing on F, and match every erased parity on F.  Any kappa
         # rows of the pool qualify; a larger F lies inside one flat of T
-        # cut to the pool.
+        # cut to the pool.  A pattern erasing no data block is the only
+        # one that reads its (T, kappa, e_pars) table, so it builds just
+        # the flats of more than beat rows and keeps none: a smaller one
+        # can only leave f_hi <= beat, which rules T out all the same.
         if self.flats and 0 < kappa <= FLAT_KAPPA_MAX and kappa < n_pool:
+            need = max(kappa, beat) if not e_rows else None
             f_hi = kappa
-            for size, flat in tab.flats_of(kappa, tuple(e_pars), par_mask):
+            flats = tab.flats_of(kappa, tuple(e_pars), par_mask, need)
+            for size, flat in flats:
                 if size <= f_hi:
                     break
                 f_hi = max(f_hi, (flat & pool_mask).bit_count())
-            if base + n_pool - f_hi >= cost_cap:
+            if f_hi <= beat:
                 return None
 
         # A fetched set is feasible iff no vector of the span of its
@@ -474,20 +484,19 @@ class _RepairSearch:
         na = len(T)
         fld = self.field
         restr = tab.restr
-        basis: Basis = []
+        basis: LogBasis = []
         for i in e_rows:
-            lead = insert_row(basis, restr[i] + targets[i], fld)
+            lead = echelon_insert(basis, restr[i] + targets[i], na, fld)
             if lead is not None and lead >= na:
                 return None
 
         pool = _bits(pool_mask)
-        # leaving f pool rows unfetched costs base + n_pool - f
         unfetched = _largest_extension(
             basis,
             [restr[i] + targets[i] for i in pool],
             na,
             fld,
-            n_pool - (cost_cap - base),
+            beat,
             f_hi,
             lex_ties,
         )

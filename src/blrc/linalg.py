@@ -1,10 +1,20 @@
-"""Dense matrices over GF(2^m): rank, solving, column-span membership, and
-an echelon basis that grows one row at a time.
+"""Dense matrices over GF(2^m): rank, solving, column-span membership, an
+echelon basis that grows one row at a time, and two kernels for the hot
+loops of the repair search.
 
 Everything here is exact Gaussian elimination with first-nonzero pivoting.
 Matrices in this package never exceed a few dozen rows, so no attention is
 paid to asymptotics.  Operations never mutate their inputs, except that
-insert_row appends to the basis it is given.
+insert_row and echelon_insert append to the basis they are given.
+
+The two kernels run a whole loop in one call, with each reducing row's
+nonzero entries held as (column, log) pairs scaled to a leading 1:
+
+  * proportional_classes reduces many vectors by one direction and groups
+    the residuals by proportionality (the flats of the repair search);
+  * echelon_insert is insert_row for a LogBasis that only ever holds rows
+    leading before a bound, so a depth-first search over row sets never
+    stores, and never pops, a row it rejects.
 """
 
 from __future__ import annotations
@@ -160,6 +170,83 @@ def insert_row(basis: Basis, row: Sequence[int], field: FieldSpec) -> int | None
             basis.append((lead, v))
             return lead
     return None
+
+
+LogBasis = list[tuple[int, list[tuple[int, int]]]]
+"""Echelon rows as (pivot, pairs) in insertion order, each row scaled to 1
+at its pivot and held as the (column, log of entry) pairs of its nonzero
+entries after the pivot.  Pivots are distinct and each row is zero before
+its pivot and at the pivot of every earlier row."""
+
+
+def echelon_insert(
+    basis: LogBasis, row: Sequence[int], bound: int, field: FieldSpec
+) -> int | None:
+    """insert_row for a LogBasis that keeps only rows leading before bound.
+
+    Returns None when row lies in the span of basis, and otherwise the
+    lead of its residual, the same lead insert_row returns for the same
+    rows; the residual is appended, scaled to 1 at its lead, only when
+    lead < bound.  Scaling a basis row changes neither the span nor the
+    residual of any later row, so the leads match insert_row's.
+    """
+    exp, log = field._exp, field._log
+    v = list(row)
+    for pivot, pairs in basis:
+        a = v[pivot]
+        if a:
+            s = log[a]
+            v[pivot] = 0
+            for j, b in pairs:
+                v[j] ^= exp[b + s]
+    for lead, x in enumerate(v):
+        if x:
+            if lead < bound:
+                q1 = field.order - 1
+                inv = q1 - log[x]
+                tail = enumerate(v[lead + 1 :], lead + 1)
+                basis.append((lead, [(j, (log[y] + inv) % q1) for j, y in tail if y]))
+            return lead
+    return None
+
+
+def proportional_classes(
+    direction: Sequence[int] | None, items, field: FieldSpec
+) -> dict[tuple[int, ...], int]:
+    """Split (vector, row mask) items by their residual modulo the span of
+    direction (a nonzero vector, or None for the zero span): the union of
+    the row masks of each class of proportional residuals, keyed by the
+    residual scaled to 1 at its first nonzero entry, in order of first
+    appearance.  Items whose residual is zero are left out.
+    """
+    exp, log = field._exp, field._log
+    q1 = field.order - 1
+    pivot = -1
+    pairs: list[tuple[int, int]] = []
+    if direction is not None:
+        for j, b in enumerate(direction):
+            if b:
+                if pivot < 0:
+                    pivot, lp = j, log[b]
+                else:
+                    pairs.append((j, (log[b] - lp) % q1))
+    classes: dict[tuple[int, ...], int] = {}
+    for vec, rows in items:
+        if pivot >= 0 and vec[pivot]:
+            s = log[vec[pivot]]
+            vec = list(vec)
+            vec[pivot] = 0
+            for j, b in pairs:
+                vec[j] ^= exp[b + s]
+        for x in vec:
+            if x:
+                break
+        else:
+            continue
+        inv = q1 - log[x]
+        key = tuple([exp[log[y] + inv] if y else 0 for y in vec])
+        classes[key] = classes.get(key, 0) | rows
+    return classes
 
 
 def rank(M: GfMatrix) -> int:

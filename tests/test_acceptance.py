@@ -65,7 +65,6 @@ from blrc.reliability import (
     build_model,
     mttdl_stripe,
     mttdl_system,
-    simulate_mttdl,
 )
 from blrc.search import SearchConfig, hill_climb
 from blrc.sharding import decode_stream, encode_stream, repair_stream
@@ -74,6 +73,7 @@ from util_oracles import (
     min_distance_by_patterns,
     random_valid_code,
 )
+from util_simulation import simulate_mttdl
 from util_supports import (
     GF65536,
     canonical_support,

@@ -278,6 +278,31 @@ def test_small_alphabet_codes_match_oracle():
         _check_against_oracle(code, patterns)
 
 
+def test_parity_pair_plans_match_oracle(code_16_10_w3, monkeypatch):
+    # a pattern erasing only parities builds its own flats, cut at the
+    # bound its query must beat, and keeps none of them (the small-alphabet
+    # codes' parity pairs are among the pairs of the test above)
+    needs = []
+    build = _ParitySet._build_flats
+
+    def recorded(self, kappa, e_pars, par_mask, need):
+        needs.append(need - kappa)
+        return build(self, kappa, e_pars, par_mask, need)
+
+    monkeypatch.setattr(_ParitySet, "_build_flats", recorded)
+    code = dense_global_code(28)
+    parities = range(code.k + 1, code.n + 1)
+    _check_against_oracle(code, list(itertools.combinations(parities, 2)))
+    assert any(needs)  # some tables were cut above kappa
+
+    for code in (code, code_16_10_w3):
+        shared = _RepairSearch(code, flats=True)
+        pairs = list(itertools.combinations(range(code.k + 1, code.n + 1), 2))
+        for pair in pairs + pairs:
+            assert shared.minimal_repair(pair) == minimal_repair(code, pair)
+        assert not any(tab.flats for tab in shared._t_cache.values())
+
+
 def test_flats_search_matches_plain_search(code_16_10_w3):
     # single, pair and triple patterns interleaved through one search that
     # keeps its flats answer exactly as the public minimal_repair does

@@ -1,18 +1,23 @@
+import copy
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blrc.gf import GF256
+from blrc.gf import GF256, FieldSpec
 from blrc.linalg import (
     GfMatrix,
     SingularMatrixError,
+    echelon_insert,
     insert_row,
+    proportional_classes,
     rank,
     solve,
     span_coefficients,
 )
+
+KERNEL_FIELDS = (FieldSpec(4, 0b10011), GF256, FieldSpec(16, 0x1002D))
 
 
 def rand_matrix(rng, rows, cols, field=GF256):
@@ -130,6 +135,83 @@ def test_insert_row_matches_rank_and_span(seed):
     na = rng.randrange(cols + 1)
     left = M.submatrix(list(range(rows)), list(range(na)))
     assert any(lead >= na for lead in leads) == (rank(M) > rank(left))
+
+
+@st.composite
+def vector_lists(draw):
+    """(field, vectors): a few vectors over few distinct entries, so that
+    dependent and proportional ones are common, then the zero vector and
+    combinations of them (vectors inside their span), shuffled."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    cols = draw(st.integers(1, 6))
+    entries = [0, 0] + draw(
+        st.lists(st.integers(1, field.order - 1), min_size=1, max_size=3)
+    )
+    vec = st.lists(st.sampled_from(entries), min_size=cols, max_size=cols)
+    vecs = draw(st.lists(vec, min_size=1, max_size=6))
+    scalars = st.lists(
+        st.integers(0, field.order - 1), min_size=len(vecs), max_size=len(vecs)
+    )
+    M = GfMatrix(vecs, field)
+    inside = [M.vec_mul(draw(scalars)) for _ in range(draw(st.integers(0, 3)))]
+    return field, draw(st.permutations(vecs + inside + [[0] * cols]))
+
+
+def _classes_by_insert_row(direction, items, field):
+    # the reference path: insert into a basis, pop the residual, rescale
+    basis = []
+    if direction is not None:
+        insert_row(basis, direction, field)
+    classes = {}
+    for vec, rows in items:
+        lead = insert_row(basis, vec, field)
+        if lead is None:
+            continue
+        res = basis.pop()[1]
+        key = tuple(field.div(x, res[lead]) for x in res)
+        classes[key] = classes.get(key, 0) | rows
+    return classes
+
+
+@given(data=vector_lists(), pick=st.integers(0, 10**6), scale=st.integers(1, 255))
+@settings(max_examples=150, deadline=None)
+def test_proportional_classes_match_insert_row(data, pick, scale):
+    field, vecs = data
+    nonzero = [v for v in vecs if any(v)]
+    direction = None
+    if nonzero and pick % 3:
+        # scaled multiples of the direction lie in its span
+        direction = nonzero[pick % len(nonzero)]
+        c = scale % (field.order - 1) + 1
+        vecs = vecs + [[field.mul(c, x) for x in direction]]
+    items = [(v, 1 << i) for i, v in enumerate(vecs)]
+    got = proportional_classes(direction, items, field)
+    want = _classes_by_insert_row(direction, items, field)
+    assert list(got.items()) == list(want.items())
+
+
+@given(data=vector_lists(), bound=st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_echelon_insert_matches_insert_row(data, bound):
+    field, vecs = data
+    basis, ref = [], []
+    for v in vecs:
+        want = insert_row(ref, v, field)
+        before = copy.deepcopy(basis)
+        assert echelon_insert(basis, v, bound, field) == want
+        if want is not None and want >= bound:
+            ref.pop()  # the span reaches column bound: nothing is stored
+            assert basis == before
+        assert len(basis) == len(ref)
+        # each stored row is the insert_row residual scaled to 1 at its lead
+        for (pivot, pairs), (lead, row) in zip(basis, ref):
+            assert pivot == lead
+            scaled = [field.div(x, row[lead]) for x in row]
+            full = [0] * len(row)
+            full[pivot] = 1
+            for j, lg in pairs:
+                full[j] = field._exp[lg]
+            assert full == scaled
 
 
 def test_span_coefficients_zero_and_members():

@@ -13,8 +13,8 @@ from blrc.reliability import (
     mttdl_stripe,
     mttdl_system,
     parse_params,
-    simulate_mttdl,
 )
+from util_simulation import simulate_mttdl
 
 
 def two_state_chain(lam):

@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+from blrc import search
 from blrc.analysis import avg_repair_bandwidth_double
 from blrc.code import CodeSpec, ConstructionError, check_support, validate
 from blrc.search import (
@@ -143,3 +145,42 @@ def test_hill_climb_golden_16_10():
         (e.restart, e.iteration, e.objective, e.accepted, e.best)
         for e in trace.entries
     ] == [(r, i, o / 120, a, b / 120) for r, i, o, a, b in expected]
+
+
+@pytest.mark.parametrize(
+    "config, ties",
+    [
+        # the seed of test_hill_climb_golden_16_10: three proposals win
+        # outright and the last loses on the double average alone
+        (SearchConfig(16, 10, 4, seed=778, max_iterations=4, restarts=1), 0),
+        # w = 2 averages tie often; each tie needs the single average
+        (SearchConfig(11, 7, 3, seed=1, max_iterations=10, restarts=1), 6),
+    ],
+)
+def test_single_average_only_for_accepted_proposals_and_ties(
+    config, ties, monkeypatch
+):
+    calls = 0
+    single = search.avg_repair_bandwidth_single
+
+    def counted(code):
+        nonlocal calls
+        calls += 1
+        return single(code)
+
+    monkeypatch.setattr(search, "avg_repair_bandwidth_single", counted)
+    _, trace = hill_climb(config)
+    needed = []
+    tied = 0
+    current = math.inf
+    for e in trace.entries:
+        if not math.isfinite(e.objective):
+            continue  # no code to evaluate
+        # the initial code, or a proposal whose double average does not
+        # lose; the rest are rejected on the double average alone
+        needed.append(e.iteration == 0 or e.objective <= current)
+        tied += e.iteration > 0 and e.objective == current
+        if e.accepted:
+            current = e.objective
+    assert tied == ties
+    assert calls == sum(needed) < len(needed)

@@ -46,7 +46,9 @@ echelon_insert, whose basis never stores a row it rejects.
 
 Every candidate is verified by an exact span test, so the result is
 identical to a plain size-ordered search over all survivor subsets (the
-test suite checks this against an independent all-subsets oracle).
+test suite checks this against an independent all-subsets oracle).  This
+one search answers every code length, so a long code costs time, never
+exactness.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from .code import (
     BlrcCode,
     SystematicCode,
     UndecodableError,
-    decodable,
     minimum_distance,
     recovery_coefficients,
     update_complexity,
@@ -71,9 +72,6 @@ from .linalg import (
     insert_row,
     proportional_classes,
 )
-
-EXHAUSTIVE_LIMIT = 24
-"""Largest code length for which repair plans are certified minimal."""
 
 FLAT_KAPPA_MAX = 3
 """Largest kappa whose flats bound the double-average search, set by
@@ -98,14 +96,15 @@ def _bits(mask: int) -> list[int]:
 class RepairPlan:
     """Helper set repairing an erasure pattern.
 
-    cost equals len(helpers).  certified_minimal is False only for codes
-    longer than EXHAUSTIVE_LIMIT, where a greedy fallback produces the plan.
+    cost equals len(helpers), the fewest surviving blocks any repair of the
+    pattern reads, at every code length; the helpers are the
+    lexicographically smallest set of that size unless the query waived
+    ties.
     """
 
     erased: tuple[int, ...]
     helpers: tuple[int, ...]
     cost: int
-    certified_minimal: bool = True
 
 
 @dataclass(frozen=True)
@@ -337,7 +336,6 @@ class _RepairSearch:
     """
 
     def __init__(self, code: SystematicCode, flats: bool = False):
-        self.code = code
         self.k = code.k
         self.r = code.r
         self.n = code.n
@@ -346,10 +344,6 @@ class _RepairSearch:
         # row sets as bitmasks, bit i = data row i
         self.col_mask = [
             sum(1 << i for i in range(self.k) if self.P[i][j])
-            for j in range(self.r)
-        ]
-        self.col_support = [
-            frozenset(i for i in range(self.k) if self.P[i][j])
             for j in range(self.r)
         ]
         self.flats = flats
@@ -363,10 +357,6 @@ class _RepairSearch:
         lexicographically smallest one (used by the averaging loops)."""
         if not erased:
             return RepairPlan((), (), 0)
-        if self.n > EXHAUSTIVE_LIMIT:
-            if not decodable(self.code, erased):
-                raise UndecodableError(erased)
-            return self._greedy_plan(erased)
 
         k = self.k
         e_rows = [b - 1 for b in erased if b <= k]
@@ -511,58 +501,6 @@ class _RepairSearch:
             )
         )
         return len(helpers), helpers
-
-    def _greedy_plan(self, erased: ErasurePattern) -> RepairPlan:
-        """Cheap fallback beyond EXHAUSTIVE_LIMIT: one covering parity per
-        erased data block, supports for erased parities, full decode as the
-        last resort.  Flagged non-certified."""
-        k = self.k
-        helpers: set[int] = set()
-        parities: set[int] = set()
-        ok = True
-        for b in erased:
-            if b > k:
-                helpers |= {i + 1 for i in self.col_support[b - k - 1]}
-            else:
-                covering = [
-                    t
-                    for t in range(self.r)
-                    if b - 1 in self.col_support[t]
-                    and (k + 1 + t) not in erased
-                ]
-                if not covering:
-                    ok = False
-                    break
-                t = min(covering, key=lambda t: (len(self.col_support[t]), t))
-                parities.add(t)
-                helpers |= {i + 1 for i in self.col_support[t]}
-        if ok:
-            helpers -= set(erased)
-            helpers |= {k + 1 + t for t in parities}
-            plan = RepairPlan(
-                tuple(erased), tuple(sorted(helpers)), len(helpers), False
-            )
-            if self._plan_feasible(plan):
-                return plan
-        # full-decode fallback: the first k independent survivor columns
-        basis: Basis = []
-        chosen: list[int] = []
-        for b in range(1, self.n + 1):
-            if b in erased:
-                continue
-            col = self.code.generator_column(b)
-            if insert_row(basis, col, self.field) is not None:
-                chosen.append(b)
-                if len(chosen) == k:
-                    break
-        return RepairPlan(tuple(erased), tuple(chosen), len(chosen), False)
-
-    def _plan_feasible(self, plan: RepairPlan) -> bool:
-        try:
-            recovery_coefficients(self.code, plan.helpers, plan.erased)
-        except UndecodableError:
-            return False
-        return True
 
 
 def minimal_repair(code: SystematicCode, erased) -> RepairPlan:

@@ -112,7 +112,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_search(args) -> int:
-    field = FieldSpec(args.field_poly.bit_length() - 1, args.field_poly)
+    try:
+        field = FieldSpec(args.field_poly.bit_length() - 1, args.field_poly)
+    except ValueError as exc:
+        raise CliError(f"--field-poly: {exc}") from None
     config = SearchConfig(
         n=args.n,
         k=args.k,
@@ -268,6 +271,8 @@ def cmd_repair(args) -> int:
         for b in range(1, code.n + 1)
         if not shard_path(directory, stem, b).exists()
     ]
+    if args.index is not None and not 1 <= args.index <= code.n:
+        raise CliError(f"--index {args.index} outside 1..{code.n}")
     if not missing:
         print("all shards present; nothing to repair")
         return 0

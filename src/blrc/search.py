@@ -60,15 +60,16 @@ class SearchConfig:
     def code_spec(self) -> CodeSpec:
         w = self.d - 1
         r = self.n - self.k
-        if w > r:
-            raise ConstructionError(
-                f"row weight w = d-1 = {w} exceeds the {r} parity slots"
-                f" (need d-1 <= n-k)"
-            )
-        if w > self.k - 1:
-            raise ConstructionError(
-                f"row weight w = d-1 = {w} must be below k = {self.k}"
-            )
+        if 0 < self.k < self.n:  # otherwise CodeSpec names the bad shape
+            if w > r:
+                raise ConstructionError(
+                    f"row weight w = d-1 = {w} exceeds the {r} parity slots"
+                    f" (need d-1 <= n-k)"
+                )
+            if w > self.k - 1:
+                raise ConstructionError(
+                    f"row weight w = d-1 = {w} must be below k = {self.k}"
+                )
         try:
             return CodeSpec(self.n, self.k, w, self.field)
         except ValueError as exc:

@@ -6,7 +6,6 @@ import pytest
 
 from blrc import analysis
 from blrc.analysis import (
-    EXHAUSTIVE_LIMIT,
     FLAT_KAPPA_MAX,
     _bits,
     _ParitySet,
@@ -33,7 +32,6 @@ def test_single_repairs_cost_six(code_15_10):
     for b in range(1, 16):
         plan = minimal_repair(code_15_10, (b,))
         assert plan.cost == 6
-        assert plan.certified_minimal
 
 
 def test_parity_repair_helpers_are_its_support(code_15_10):
@@ -449,16 +447,35 @@ def test_report_for_w2_code(code_16_10_w2):
     assert set(report.decodability) == {1, 2, 3, 4, 5, 6}
 
 
-def test_greedy_fallback_beyond_exhaustive_limit():
+def test_exact_single_plans_beyond_n_24_match_oracle():
+    # one exact search answers every length: the cheapest helper set and,
+    # among those, the lexicographically first, as the all-subsets oracle
     rng = random.Random(5)
-    n, k, w = 30, 24, 3
+    n, k, w = 30, 20, 2
     code = random_valid_code(rng, n, k, w, GF256)
     assert code is not None
-    assert code.n > EXHAUSTIVE_LIMIT
-    plan = minimal_repair(code, (1,))
-    assert not plan.certified_minimal
-    # the fallback plan must still be a valid repair
     data = [rng.randrange(256) for _ in range(k)]
     cw = encode(code, data)
-    helpers = {b: cw[b - 1] for b in plan.helpers}
-    assert repair_values(code, plan, helpers)[1] == cw[0]
+    for b in (1, 3, 20, 21, 30):
+        plan = minimal_repair(code, (b,))
+        assert (plan.cost, plan.helpers) == minimal_repair_all_subsets(
+            code, (b,)
+        ), b
+        helpers = {h: cw[h - 1] for h in plan.helpers}
+        assert repair_values(code, plan, helpers)[b] == cw[b - 1]
+
+
+def test_disjoint_groups_beyond_n_24_closed_form():
+    # w = 1 splits [28, 24] into four groups of six data blocks and one
+    # parity: a lost block reads the other six of its group, two losses in
+    # different groups read twelve, and two in one group are undecodable
+    code = random_valid_code(random.Random(5), 28, 24, 1, GF256)
+    assert code is not None
+    rows = support_of(code.P)
+    assert all(len(cols) == 1 for cols in rows)
+    assert sorted(cols[0] for cols in rows) == sorted(list(range(4)) * 6)
+    assert avg_repair_bandwidth_single(code) == 6.0
+    stats = avg_repair_bandwidth_double(code)
+    assert stats.mean_cost == 12.0
+    assert stats.pairs == 294
+    assert stats.undecodable_pairs == 4 * math.comb(7, 2) == 84

@@ -201,6 +201,24 @@ def test_repair_refuses_renamed_shard(capsys, code_file, tmp_path):
     assert not victim.exists()
 
 
+@pytest.mark.parametrize("index", ["0", "99"])
+def test_repair_rejects_index_outside_code_length(capsys, code_file, tmp_path,
+                                                  index):
+    src = tmp_path / "a.bin"
+    src.write_bytes(b"hello world" * 10)
+    shard_dir = tmp_path / "shards"
+    rc, *_ = run(capsys, "encode", str(code_file), str(src),
+                 "--out-dir", str(shard_dir))
+    assert rc == 0
+    victim = shard_dir / "a.bin.s05"
+    victim.unlink()
+    rc, _, err = run(capsys, "repair", str(code_file),
+                     "--shards", str(shard_dir), "--index", index)
+    assert rc == 1
+    assert err.startswith("error:") and "1..15" in err
+    assert not victim.exists()
+
+
 def test_search_cli_writes_valid_code(capsys, tmp_path):
     out = tmp_path / "found.code"
     trace = tmp_path / "trace.csv"
@@ -220,6 +238,16 @@ def test_search_infeasible_parameters(capsys):
     rc, _, err = run(capsys, "search", "--n", "12", "--k", "10", "--d", "4")
     assert rc == 1
     assert "parity slots" in err
+
+
+@pytest.mark.parametrize("poly", ["0x100", "0x11b1"])
+def test_search_rejects_bad_field_polynomial(capsys, monkeypatch, poly):
+    # refused before any search step runs
+    monkeypatch.setattr(cli, "hill_climb", None)
+    rc, _, err = run(capsys, "search", "--n", "12", "--k", "8", "--d", "3",
+                     "--field-poly", poly)
+    assert rc == 1
+    assert err.startswith("error: --field-poly:")
 
 
 def test_compare_table_and_csv(capsys, tmp_path):

@@ -57,6 +57,8 @@ def test_neighbor_preserves_censuses():
 def test_infeasible_parameters_raise():
     with pytest.raises(ConstructionError):
         SearchConfig(12, 10, 4).code_spec()  # w = 3 > r = 2
+    with pytest.raises(ConstructionError, match="need 0 < k < n"):
+        SearchConfig(8, 12, 3).code_spec()  # k >= n: no parity slots at all
     with pytest.raises(ConstructionError):
         SearchConfig(16, 10, 1)
     with pytest.raises(ConstructionError):

@@ -1,9 +1,33 @@
 """Repair-bandwidth and decodability metrics.
 
-The central operation is minimal_repair: the smallest set of surviving
-blocks whose generator columns span the columns of every erased block, with
-ties broken toward the lexicographically smallest index set.  The search is
-organized around the parity blocks used by a plan:
+The double-repair average, which ranks codes, is computed in the dual: from
+the columns of the parity-check matrix H = [P^T | I_r].  Survivors S can
+stay unfetched in a repair of the erased set E exactly when no codeword
+vanishing off S u E is nonzero on E, that is, when
+rank(H_{S u E}) = rank(H_S) + |E| (S is skew to E).  Two lines prove the
+cost formula:
+
+  * the closure of a skew S is skew, so a largest S is a flat skew to E;
+  * a skew flat of lower rank grows by any column outside the span of
+    S u E, so a largest S is a skew flat of rank r - |E|.
+
+A flat of rank r - 2 holds r - 2 nonzero columns unless it is dependent,
+and holds every zero column (a data block no parity covers).  So a pair
+whose two columns are independent costs n - 2 - (zero columns) -
+max(r - 2, the nonzero columns of the largest dependent flat of rank r - 2
+skew to it), and a pair whose columns are dependent is undecodable.  One
+_flats_above call lists every dependent flat of rank r - 2, some of them
+partly (a flat found from a later direction lacks its earlier ones).  The
+flats are walked largest first, each completed to its closure; a mask
+whose closure is larger is skipped, because that closure came earlier.
+The columns outside a flat split into proportional classes modulo its
+span, and a pair from two different classes is skew to it, so each pair
+is priced at the first flat it is skew to.
+
+minimal_repair answers one pattern with a plan: the smallest set of
+surviving blocks whose generator columns span the columns of every erased
+block, with ties broken toward the lexicographically smallest index set.
+The search is organized around the parity blocks used by a plan:
 
   * any minimal plan fetches a subset T of surviving parities plus data
     blocks drawn from the supports of T and of the erased parities (a data
@@ -17,38 +41,17 @@ For a fixed T the unfetched blocks that work are closed under taking
 subsets, so a depth-first search that adds one block at a time to an
 incremental span test, dropping every prefix that fails, finds the
 largest such set (the cheapest plan) and, among those, the one giving
-the lexicographically smallest helper set.
-
-What depends on T alone is kept in one table per T and shared by every
-erasure pattern of one search: the rows restricted to T and the rows two
-parities of T cover.  A search built with flats also keeps the flats of T
-for each kappa (|T| minus the number of erased data blocks) and each set
-of erased parities.  A row's vector there is its restricted row followed
-by its coefficients in the erased parities, and a flat is the set of rows
-whose vectors lie in the span of kappa independent ones (proportional
-vectors share a direction), stored as a row bitmask, only when it holds
-more than kappa rows.  The vectors of the rows a plan leaves unfetched
-span at most kappa dimensions, so more than kappa of them lie in one
-flat; the largest flat cut to a pattern's pool bounds the search before
-it tests anything.  One recursion builds them: a flat is its first
-direction with a (kappa - 1)-flat of the quotient by that direction, and
-lines are the base case.  Only kappa 1 to FLAT_KAPPA_MAX are built.
-Building them costs more than a single query saves, so only the
-double-repair average, which asks every pair of one code, builds them.
-A pattern that erases no data block is the only reader of its table (its
-kappa is |T| and its erased parities are the whole pattern), so it builds
-just the flats that could beat its query's cost cap and keeps none.
-
-The elimination runs in two one-call kernels of linalg.py:
-proportional_classes splits the residuals of the flat recursion into
-proportional classes, and the depth-first search inserts with
-echelon_insert, whose basis never stores a row it rejects.
+the lexicographically smallest helper set.  What depends on T alone is
+kept in one table per T and shared by every erasure pattern of one
+search: the rows restricted to T and the rows two parities of T cover.
+The depth-first search inserts with linalg.echelon_insert, whose basis
+never stores a row it rejects.
 
 Every candidate is verified by an exact span test, so the result is
 identical to a plain size-ordered search over all survivor subsets (the
-test suite checks this against an independent all-subsets oracle).  This
-one search answers every code length, so a long code costs time, never
-exactness.
+test suite checks this against an independent all-subsets oracle, and
+checks the two ways of pricing a pair against each other).  Both answer
+every code length, so a long code costs time, never exactness.
 """
 
 from __future__ import annotations
@@ -72,13 +75,6 @@ from .linalg import (
     insert_row,
     proportional_classes,
 )
-
-FLAT_KAPPA_MAX = 3
-"""Largest kappa whose flats bound the double-average search, set by
-measurement: flats of kappa 4 as well take 3.6 times the row insertions
-of [16, 10] w=2 double averages (65k against 18k over eight random
-codes), save none on the catalogue codes and pay off only beyond
-n = 24."""
 
 ErasurePattern = tuple[int, ...]
 
@@ -145,16 +141,12 @@ class _ParitySet:
     """Tables of one parity set T, shared by every erasure pattern.
 
     restr[i] is data row i restricted to the columns of T, t_mask the rows
-    T covers and multi the rows at least two parities of T cover.  The
-    flats are built on first use for each kappa and set of erased
-    parities a query reads.
+    T covers and multi the rows at least two parities of T cover.
     """
 
-    __slots__ = ("field", "P", "t_mask", "multi", "restr", "flats")
+    __slots__ = ("t_mask", "multi", "restr")
 
-    def __init__(self, P: list[list[int]], col_mask: list[int], T, field):
-        self.field = field
-        self.P = P
+    def __init__(self, P: list[list[int]], col_mask: list[int], T):
         t_mask = 0
         multi = 0
         for t in T:
@@ -163,88 +155,36 @@ class _ParitySet:
         self.t_mask = t_mask
         self.multi = multi
         self.restr = {i: [P[i][t] for t in T] for i in _bits(t_mask)}
-        self.flats: dict[tuple, list[tuple[int, int]]] = {}
-
-    def flats_of(
-        self,
-        kappa: int,
-        e_pars: tuple[int, ...],
-        par_mask: int,
-        need: int | None = None,
-    ) -> list[tuple[int, int]]:
-        """(row count, row mask) of every flat of kappa with more than need
-        rows (need defaults to kappa), largest first, for patterns erasing
-        the parities e_pars (par_mask is the union of their supports).
-        Only the default table is kept; one with a larger need serves a
-        single query and is built for it alone.
-
-        The rows are those such a pattern can leave unfetched: multi and
-        the rows of T in par_mask.  Each row's vector is its restricted
-        row followed by its coefficients in e_pars.  A set F of rows whose
-        vectors span at most kappa dimensions takes a basis from its own
-        members, and that basis extends to kappa independent directions
-        of the rows unless they span <= kappa dimensions.  So F lies in
-        one flat: the rows inside the span of kappa independent
-        directions, or all the rows.  Any kappa rows qualify, so only the
-        flats with more rows tell anything.
-        """
-        if need is not None:
-            return self._build_flats(kappa, e_pars, par_mask, need)
-        flats = self.flats.get((kappa, e_pars))
-        if flats is None:
-            flats = self._build_flats(kappa, e_pars, par_mask, kappa)
-            self.flats[kappa, e_pars] = flats
-        return flats
-
-    def _build_flats(
-        self, kappa: int, e_pars: tuple[int, ...], par_mask: int, need: int
-    ) -> list[tuple[int, int]]:
-        fld = self.field
-        rows = self.multi | self.t_mask & par_mask
-        items = [
-            (self.restr[i] + [self.P[i][p] for p in e_pars], 1 << i)
-            for i in _bits(rows)
-        ]
-        # one direction per class of proportional vectors: the lines
-        dirs = list(proportional_classes(None, items, fld).items())
-        masks = [rows]  # while the rows span at most kappa dimensions
-        basis: Basis = []
-        dim = 0
-        for d, _ in dirs:
-            if insert_row(basis, d, fld) is not None:
-                dim += 1
-                if dim > kappa:
-                    masks = _flats_above(dirs, kappa, need, fld)
-                    break
-        sizes = ((m.bit_count(), m) for m in masks)
-        return sorted((f for f in sizes if f[0] > need), reverse=True)
 
 
 def _flats_above(dirs, kappa: int, need: int, field) -> list[int]:
-    """Row masks of the kappa-flats of dirs, (direction, row mask) pairs of
-    pairwise independent directions, that hold more than need rows.
+    """Column masks of kappa-flats of dirs, (direction, column mask) pairs
+    of pairwise independent directions, that hold more than need columns.
 
     A flat is found from its first direction d: the residuals of the later
     directions modulo d, split into proportional classes, are the
-    directions of the quotient by d, and the flat is d with the rows of a
-    (kappa - 1)-flat of that quotient.  Lines are the base case.  The
+    directions of the quotient by d, and the flat is d with the columns of
+    a (kappa - 1)-flat of that quotient.  Lines are the base case.  The
     residuals have zeros where d leads, so the quotient's own residuals
-    need only its own direction to reduce by.  When dirs span at least
-    kappa dimensions, every set of more than need rows spanning at most
-    kappa of them lies in a returned flat.
+    need only its own direction to reduce by.  Every mask spans kappa
+    dimensions.  When dirs span at least kappa dimensions, every set of
+    more than need columns spanning at most kappa of them lies in a
+    returned mask; so every flat of kappa dimensions with more than need
+    columns is itself one, though a mask found from a later direction than
+    its flat's first one lacks the earlier directions.
     """
     if kappa == 1:
-        return [rows for _, rows in dirs if rows.bit_count() > need]
+        return [cols for _, cols in dirs if cols.bit_count() > need]
     out = []
-    left = sum(rows.bit_count() for _, rows in dirs)
-    for j, (d, rows) in enumerate(dirs):
+    left = sum(cols.bit_count() for _, cols in dirs)
+    for j, (d, cols) in enumerate(dirs):
         if left <= need or len(dirs) - j < kappa:
-            break  # a later flat holds too few rows or directions
-        count = rows.bit_count()
+            break  # a later flat holds too few columns or directions
+        count = cols.bit_count()
         left -= count
-        quotient = proportional_classes(d, dirs[j + 1 :], field)
+        quotient = proportional_classes((d,), dirs[j + 1 :], field)
         out.extend(
-            rows | f
+            cols | f
             for f in _flats_above(
                 list(quotient.items()), kappa - 1, need - count, field
             )
@@ -328,14 +268,9 @@ def _largest_extension(
 
 
 class _RepairSearch:
-    """Repair queries on one code, sharing one table per parity set.
+    """Repair queries on one code, sharing one table per parity set."""
 
-    With flats, each table also builds the flats of T, which bound how
-    many rows a plan can leave unfetched before any is tested; they pay
-    off only when one search answers many patterns.
-    """
-
-    def __init__(self, code: SystematicCode, flats: bool = False):
+    def __init__(self, code: SystematicCode):
         self.k = code.k
         self.r = code.r
         self.n = code.n
@@ -346,7 +281,6 @@ class _RepairSearch:
             sum(1 << i for i in range(self.k) if self.P[i][j])
             for j in range(self.r)
         ]
-        self.flats = flats
         self._t_cache: dict[tuple[int, ...], _ParitySet] = {}
 
     def minimal_repair(
@@ -415,9 +349,7 @@ class _RepairSearch:
         k = self.k
         tab = self._t_cache.get(T)
         if tab is None:
-            tab = self._t_cache[T] = _ParitySet(
-                self.P, self.col_mask, T, self.field
-            )
+            tab = self._t_cache[T] = _ParitySet(self.P, self.col_mask, T)
         e_mask = 0
         for i in e_rows:
             e_mask |= 1 << i
@@ -441,30 +373,14 @@ class _RepairSearch:
         base = len(T) + forced_mask.bit_count()
         n_pool = pool_mask.bit_count()
         beat = n_pool - (cost_cap - base)
+        # the unfetched rows, each extended by its coefficients in the
+        # erased parities, span at most kappa dimensions: the fetched
+        # columns must give one unit vector per erased data row vanishing
+        # on them, and match every erased parity on them
         kappa = len(T) - len(e_rows)
         f_hi = n_pool if kappa > 0 else 0
         if kappa < 0 or f_hi <= beat:
             return None
-
-        # The unfetched rows F, each extended by its coefficients in the
-        # erased parities, span at most kappa dimensions: the fetched
-        # columns have to produce one unit vector per erased data row
-        # vanishing on F, and match every erased parity on F.  Any kappa
-        # rows of the pool qualify; a larger F lies inside one flat of T
-        # cut to the pool.  A pattern erasing no data block is the only
-        # one that reads its (T, kappa, e_pars) table, so it builds just
-        # the flats of more than beat rows and keeps none: a smaller one
-        # can only leave f_hi <= beat, which rules T out all the same.
-        if self.flats and 0 < kappa <= FLAT_KAPPA_MAX and kappa < n_pool:
-            need = max(kappa, beat) if not e_rows else None
-            f_hi = kappa
-            flats = tab.flats_of(kappa, tuple(e_pars), par_mask, need)
-            for size, flat in flats:
-                if size <= f_hi:
-                    break
-                f_hi = max(f_hi, (flat & pool_mask).bit_count())
-            if f_hi <= beat:
-                return None
 
         # A fetched set is feasible iff no vector of the span of its
         # erased and unfetched rows [restricted row | target part] starts
@@ -542,6 +458,58 @@ def avg_repair_bandwidth_single(code: SystematicCode) -> float:
     return total / code.n
 
 
+def _pair_costs(code: SystematicCode) -> dict[tuple[int, int], int]:
+    """Minimal joint repair cost of every decodable block pair, from the
+    flats of the parity-check columns (see the module docstring); bit b of
+    a mask stands for block b + 1."""
+    n, rho, fld = code.n, code.r - 2, code.field
+    cols = [(code.parity_check_column(b + 1), 1 << b) for b in range(n)]
+    dirs = list(proportional_classes((), cols, fld).items())
+    nonzero = 0
+    for _, mask in dirs:
+        nonzero |= mask
+    # open_[a]: the blocks b > a whose pair with a is decodable and unpriced
+    open_ = [0] * n
+    for _, mask in dirs:
+        for a in _bits(mask):
+            open_[a] = nonzero & ~mask & -(2 << a)
+    # a pair reads every nonzero column but its own and the unfetched ones
+    reads = nonzero.bit_count() - 2
+    costs = {}
+    if rho > 0 and any(open_):
+        # a mask lacking part of its flat comes after that flat, which is
+        # a mask too and has priced every pair skew to either
+        masks = _flats_above(dirs, rho, rho, fld)
+        for flat in sorted(masks, key=int.bit_count, reverse=True):
+            basis: Basis = []
+            for b in _bits(flat):
+                insert_row(basis, cols[b][0], fld)
+                if len(basis) == rho:
+                    break
+            outside = [d for d in dirs if not d[1] & flat]
+            classes = proportional_classes([v for _, v in basis], outside, fld)
+            skew_to = 0
+            for mask in classes.values():
+                skew_to |= mask
+            if skew_to != nonzero & ~flat:
+                continue  # a direction outside the mask lies in its span
+            cost = reads - flat.bit_count()
+            for mask in classes.values():
+                skew = skew_to & ~mask
+                for a in _bits(mask):
+                    hit = open_[a] & skew
+                    if hit:
+                        open_[a] ^= hit
+                        for b in _bits(hit):
+                            costs[a + 1, b + 1] = cost
+            if not any(open_):
+                break
+    for a, mask in enumerate(open_):
+        for b in _bits(mask):
+            costs[a + 1, b + 1] = reads - rho
+    return costs
+
+
 def avg_repair_bandwidth_double(code: SystematicCode) -> DoubleRepairStats:
     """Mean minimal joint repair cost over all block pairs.
 
@@ -549,19 +517,13 @@ def avg_repair_bandwidth_double(code: SystematicCode) -> DoubleRepairStats:
     (possible only when the distance is below 3) are excluded from the mean
     and counted separately.
     """
-    search = _RepairSearch(code, flats=True)
-    total = 0
-    pairs = 0
-    bad = 0
-    for pair in itertools.combinations(range(1, code.n + 1), 2):
-        try:
-            total += search.minimal_repair(pair, lex_ties=False).cost
-            pairs += 1
-        except UndecodableError:
-            bad += 1
-    if pairs == 0:
+    costs = _pair_costs(code)
+    if not costs:
         raise UndecodableError((0, 0))
-    return DoubleRepairStats(total / pairs, pairs, bad)
+    pairs = len(costs)
+    return DoubleRepairStats(
+        sum(costs.values()) / pairs, pairs, math.comb(code.n, 2) - pairs
+    )
 
 
 def undecodable_counts(code: SystematicCode, f_max: int) -> dict[int, int]:

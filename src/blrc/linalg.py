@@ -10,8 +10,9 @@ insert_row and echelon_insert append to the basis they are given.
 The two kernels run a whole loop in one call, with each reducing row's
 nonzero entries held as (column, log) pairs scaled to a leading 1:
 
-  * proportional_classes reduces many vectors by one direction and groups
-    the residuals by proportionality (the flats of the repair search);
+  * proportional_classes reduces many vectors modulo a span and groups
+    the residuals by proportionality (the flats of the parity-check
+    columns, and the classes outside each flat);
   * echelon_insert is insert_row for a LogBasis that only ever holds rows
     leading before a bound, so a depth-first search over row sets never
     stores, and never pops, a row it rejects.
@@ -211,33 +212,40 @@ def echelon_insert(
 
 
 def proportional_classes(
-    direction: Sequence[int] | None, items, field: FieldSpec
+    span: Sequence[Sequence[int]], items, field: FieldSpec
 ) -> dict[tuple[int, ...], int]:
     """Split (vector, row mask) items by their residual modulo the span of
-    direction (a nonzero vector, or None for the zero span): the union of
-    the row masks of each class of proportional residuals, keyed by the
-    residual scaled to 1 at its first nonzero entry, in order of first
-    appearance.  Items whose residual is zero are left out.
+    span, nonzero vectors in echelon order (each zero at the first nonzero
+    column of every earlier one, as the rows of a Basis are; empty for the
+    zero span): the union of the row masks of each class of proportional
+    residuals, keyed by the residual scaled to 1 at its first nonzero
+    entry, in order of first appearance.  Items whose residual is zero are
+    left out.
     """
     exp, log = field._exp, field._log
     q1 = field.order - 1
-    pivot = -1
-    pairs: list[tuple[int, int]] = []
-    if direction is not None:
+    reducers: list[tuple[int, list[tuple[int, int]]]] = []
+    for direction in span:
+        pivot = -1
+        pairs: list[tuple[int, int]] = []
         for j, b in enumerate(direction):
             if b:
                 if pivot < 0:
                     pivot, lp = j, log[b]
                 else:
                     pairs.append((j, (log[b] - lp) % q1))
+        reducers.append((pivot, pairs))
     classes: dict[tuple[int, ...], int] = {}
     for vec, rows in items:
-        if pivot >= 0 and vec[pivot]:
-            s = log[vec[pivot]]
+        if reducers:
             vec = list(vec)
-            vec[pivot] = 0
-            for j, b in pairs:
-                vec[j] ^= exp[b + s]
+            for pivot, pairs in reducers:
+                a = vec[pivot]
+                if a:
+                    s = log[a]
+                    vec[pivot] = 0
+                    for j, b in pairs:
+                        vec[j] ^= exp[b + s]
         for x in vec:
             if x:
                 break

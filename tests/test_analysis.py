@@ -6,9 +6,10 @@ import pytest
 
 from blrc import analysis
 from blrc.analysis import (
-    FLAT_KAPPA_MAX,
+    DoubleRepairStats,
     _bits,
-    _ParitySet,
+    _flats_above,
+    _pair_costs,
     _RepairSearch,
     avg_repair_bandwidth_double,
     avg_repair_bandwidth_single,
@@ -18,9 +19,17 @@ from blrc.analysis import (
     repair_values,
     undecodable_counts,
 )
-from blrc.code import SystematicCode, UndecodableError, encode, support_of
+from blrc.code import (
+    CodeSpec,
+    SystematicCode,
+    UndecodableError,
+    assign_coefficients,
+    encode,
+    support_of,
+)
 from blrc.gf import GF256
-from blrc.linalg import GfMatrix, rank
+from blrc.linalg import GfMatrix, proportional_classes, rank
+from blrc.search import random_support
 from util_oracles import (
     decodable_by_generator,
     minimal_repair_all_subsets,
@@ -116,14 +125,26 @@ def test_dense_global_pair_plans_match_oracle():
 
 
 def test_shared_search_tables_do_not_leak_between_patterns(code_16_10_w3):
-    # one search answers every pair in both tie modes with the parity-set
-    # tables the earlier patterns left behind; a fresh search has none
+    # one search answers every single and pair and some triples,
+    # interleaved, in both tie modes with the parity-set tables the earlier
+    # patterns left behind; a fresh search has none
+    rng = random.Random(11)
     for code in (code_16_10_w3, dense_global_code(5)):
         shared = _RepairSearch(code)
+        blocks = range(1, code.n + 1)
+        patterns = [(b,) for b in blocks]
+        patterns += list(itertools.combinations(blocks, 2))
+        patterns += rng.sample(list(itertools.combinations(blocks, 3)), 20)
+        rng.shuffle(patterns)
         for lex_ties in (True, False):
-            for pair in itertools.combinations(range(1, code.n + 1), 2):
-                fresh = _RepairSearch(code).minimal_repair(pair, lex_ties)
-                assert shared.minimal_repair(pair, lex_ties) == fresh, pair
+            for pattern in patterns:
+                try:
+                    fresh = _RepairSearch(code).minimal_repair(pattern, lex_ties)
+                except UndecodableError:
+                    with pytest.raises(UndecodableError):
+                        shared.minimal_repair(pattern, lex_ties)
+                    continue
+                assert shared.minimal_repair(pattern, lex_ties) == fresh, pattern
 
 
 def _submasks(mask: int):
@@ -136,92 +157,62 @@ def _submasks(mask: int):
 
 
 def test_flats_hold_every_low_rank_row_set():
-    # for every parity set T, every kappa flats are built for and every
-    # set of at most two erased parities outside T: every set F of more
-    # than kappa rows a pattern can leave unfetched, whose restricted rows
-    # extended by the erased parities' coefficients span at most kappa
-    # dimensions, lies in one flat; the flats themselves span at most
-    # kappa dimensions
+    # the rows of [P; I_r], one per block, are the parity-check columns the
+    # double average splits into flats: every set F of more than kappa of
+    # them spanning at most kappa dimensions lies in one mask _flats_above
+    # returns, and every mask spans exactly kappa dimensions
     rng = random.Random(404)
-    codes = [dense_global_code(5)]
-    while len(codes) < 7:
-        n = rng.randrange(8, 12)
-        k = rng.randrange(4, min(n - 2, 8) + 1)
-        w = min(k - 1, n - k, rng.randrange(2, 4))
-        code = random_valid_code(rng, n, k, w, GF256)
-        if code is not None:
-            codes.append(code)
+    codes = [dense_global_code(5), proportional_rows_code()]
+    codes += [code for code, _ in itertools.islice(small_alphabet_codes(), 4)]
+    for _ in range(4):
+        # 0/1 coefficients make low-rank sets of columns common
+        k, r = rng.randrange(6, 9), rng.randrange(5, 7)
+        rows = [[int(rng.random() < 0.5) for _ in range(r)] for _ in range(k)]
+        codes.append(SystematicCode(GfMatrix(rows, GF256)))
     checked = 0
     for code in codes:
-        search = _RepairSearch(code)
-        for size in range(1, code.r + 1):
-            for T in itertools.combinations(range(code.r), size):
-                tab = _ParitySet(search.P, search.col_mask, T, code.field)
-                others = [p for p in range(code.r) if p not in T]
-                for e_pars in itertools.chain(
-                    *(itertools.combinations(others, j) for j in range(3))
-                ):
-                    par_mask = 0
-                    for p in e_pars:
-                        par_mask |= search.col_mask[p]
-                    rows = tab.multi | tab.t_mask & par_mask
-                    vec = {
-                        i: tab.restr[i] + [search.P[i][p] for p in e_pars]
-                        for i in _bits(rows)
-                    }
-                    rank_of = {
-                        F: rank(GfMatrix([vec[i] for i in _bits(F)], code.field))
-                        if F else 0
-                        for F in _submasks(rows)
-                    }
-                    for kappa in range(1, min(size, FLAT_KAPPA_MAX) + 1):
-                        flats = [f for _, f in tab.flats_of(kappa, e_pars, par_mask)]
-                        assert all(rank_of[f] <= kappa for f in flats)
-                        assert all(not f & ~rows for f in flats)
-                        for F in _submasks(rows):
-                            if F.bit_count() > kappa and rank_of[F] <= kappa:
-                                checked += 1
-                                assert any(not F & ~f for f in flats), (
-                                    T, e_pars, kappa, _bits(F)
-                                )
+        cols = [code.parity_check_column(b + 1) for b in range(code.n)]
+        dirs = list(
+            proportional_classes(
+                (), [(col, 1 << b) for b, col in enumerate(cols)], code.field
+            ).items()
+        )
+        nonzero = 0
+        for _, mask in dirs:
+            nonzero |= mask
+        rank_of = {
+            F: rank(GfMatrix([cols[b] for b in _bits(F)], code.field)) if F else 0
+            for F in _submasks(nonzero)
+        }
+        for kappa in range(1, code.r - 1):
+            masks = _flats_above(dirs, kappa, kappa, code.field)
+            assert all(rank_of[f] == kappa for f in masks)
+            assert all(not f & ~nonzero for f in masks)
+            for F, rank_F in rank_of.items():
+                if F.bit_count() > kappa and rank_F <= kappa:
+                    checked += 1
+                    assert any(not F & ~f for f in masks), (kappa, _bits(F))
     assert checked > 1000
 
 
-def test_flats_bound_the_double_average_work(code_16_10_w3, monkeypatch):
-    # the flats change no plan, only how often the depth-first search
-    # runs: with flats of kappa at most 2 it runs 928 times here
-    calls = 0
-    search = analysis._largest_extension
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return search(*args)
-
-    monkeypatch.setattr(analysis, "_largest_extension", counted)
-    assert avg_repair_bandwidth_double(code_16_10_w3).mean_cost == 888 / 120
-    assert calls <= 298
-
-
 def _check_against_oracle(code, patterns):
-    searches = (_RepairSearch(code), _RepairSearch(code, flats=True))
+    search = _RepairSearch(code)
     for pattern in patterns:
         expected = minimal_repair_all_subsets(code, pattern)
-        for search, lex_ties in itertools.product(searches, (True, False)):
+        for lex_ties in (True, False):
             if expected is None:
                 with pytest.raises(UndecodableError):
                     search.minimal_repair(pattern, lex_ties)
                 continue
             plan = search.minimal_repair(pattern, lex_ties)
-            assert plan.cost == expected[0], (pattern, search.flats, lex_ties)
+            assert plan.cost == expected[0], (pattern, lex_ties)
             if lex_ties:
-                assert plan.helpers == expected[1], (pattern, search.flats)
+                assert plan.helpers == expected[1], pattern
 
 
 def test_dense_global_pairs_and_triples_match_oracle():
-    # four dense global parities give parity sets with kappa 3, where the
-    # flats of three directions bound the search; in both tie modes its
-    # plans are the all-subsets oracle's
+    # four dense global parities give parity sets with kappa 3; in both
+    # tie modes the search's plans are the all-subsets oracle's
     code = dense_global_code(28)
     blocks = range(1, code.n + 1)
     rng = random.Random(8)
@@ -230,14 +221,39 @@ def test_dense_global_pairs_and_triples_match_oracle():
     _check_against_oracle(code, patterns)
 
 
-def test_rows_proportional_across_parities_match_oracle():
-    # [10, 7]: rows 1-4 restrict to one direction on parities 8 and 9, so
-    # p8 + p9 = 3 * d5 and d5 is rebuilt from two blocks.  Erasing 8 or 9
-    # needs rows only one fetched parity covers to stay unfetched, and
-    # erasing 5 needs more unfetched rows than the erased data rows leave
-    # dimensions for
+def proportional_rows_code() -> SystematicCode:
+    """[10, 7]: rows 1-4 restrict to one direction on parities 8 and 9, so
+    p8 + p9 = 3 * d5 and d5 is rebuilt from two blocks."""
     rows = [[1, 1, 0]] * 4 + [[1, 2, 1]] + [[0, 0, 1]] * 2
-    code = SystematicCode(GfMatrix([list(row) for row in rows], GF256))
+    return SystematicCode(GfMatrix([list(row) for row in rows], GF256))
+
+
+def tied_halves_code() -> SystematicCode:
+    """[6, 4]: p6 = p5 + 3 * (d3 + d4) = 2 * p5 + 3 * (d1 + d2)."""
+    return SystematicCode(GfMatrix([[1, 1], [1, 1], [1, 2], [1, 2]], GF256))
+
+
+def small_alphabet_codes():
+    """Twelve codes with coefficients drawn from {1, 2, 3}, which make rows
+    proportional within a parity set far more often than random GF(2^8)
+    coefficients do, each with five sampled triples."""
+    rng = random.Random(17)
+    for _ in range(12):
+        k, r = rng.randrange(3, 8), rng.randrange(2, 5)
+        rows = [
+            [rng.choice((1, 2, 3)) if rng.random() < 0.6 else 0 for _ in range(r)]
+            for _ in range(k)
+        ]
+        code = SystematicCode(GfMatrix(rows, GF256))
+        blocks = range(1, code.n + 1)
+        yield code, rng.sample(list(itertools.combinations(blocks, 3)), 5)
+
+
+def test_rows_proportional_across_parities_match_oracle():
+    # erasing 8 or 9 needs rows only one fetched parity covers to stay
+    # unfetched, and erasing 5 needs more unfetched rows than the erased
+    # data rows leave dimensions for
+    code = proportional_rows_code()
     assert minimal_repair(code, (5,)).helpers == (8, 9)
     assert minimal_repair(code, (8,)).helpers == (5, 9)
     blocks = range(1, code.n + 1)
@@ -248,9 +264,8 @@ def test_rows_proportional_across_parities_match_oracle():
 
 
 def test_tie_inside_one_parity_set_takes_smallest_helpers():
-    # [6, 4]: p6 = p5 + 3 * (d3 + d4) = 2 * p5 + 3 * (d1 + d2), so with
-    # parity 5 alone either half of the data can stay unfetched
-    code = SystematicCode(GfMatrix([[1, 1], [1, 1], [1, 2], [1, 2]], GF256))
+    # with parity 5 alone either half of the data can stay unfetched
+    code = tied_halves_code()
     assert minimal_repair(code, (6,)).helpers == (1, 2, 5)
     blocks = range(1, code.n + 1)
     _check_against_oracle(
@@ -260,69 +275,60 @@ def test_tie_inside_one_parity_set_takes_smallest_helpers():
 
 
 def test_small_alphabet_codes_match_oracle():
-    # coefficients drawn from {1, 2, 3} make rows proportional within a
-    # parity set far more often than random GF(2^8) coefficients do
-    rng = random.Random(17)
-    for _ in range(12):
-        k, r = rng.randrange(3, 8), rng.randrange(2, 5)
-        rows = [
-            [rng.choice((1, 2, 3)) if rng.random() < 0.6 else 0 for _ in range(r)]
-            for _ in range(k)
-        ]
-        code = SystematicCode(GfMatrix(rows, GF256))
+    for code, triples in small_alphabet_codes():
         blocks = range(1, code.n + 1)
         patterns = [(b,) for b in blocks] + list(itertools.combinations(blocks, 2))
-        patterns += rng.sample(list(itertools.combinations(blocks, 3)), 5)
-        _check_against_oracle(code, patterns)
+        _check_against_oracle(code, patterns + triples)
 
 
-def test_parity_pair_plans_match_oracle(code_16_10_w3, monkeypatch):
-    # a pattern erasing only parities builds its own flats, cut at the
-    # bound its query must beat, and keeps none of them (the small-alphabet
-    # codes' parity pairs are among the pairs of the test above)
-    needs = []
-    build = _ParitySet._build_flats
+def test_pair_costs_match_repair_search():
+    # the flats of the parity-check columns and the parity-set search are
+    # independent ways of pricing a pair; they agree on every pair, and a
+    # pair the flats leave unpriced is one the search finds undecodable
+    codes = [dense_global_code(5), dense_global_code(28)]
+    codes += [code for code, _ in small_alphabet_codes()]
+    codes += [proportional_rows_code(), tied_halves_code()]
+    rng = random.Random(909)
+    for n, k, w in [(10, 6, 2), (12, 8, 2), (12, 8, 3), (13, 9, 3), (14, 8, 4)]:
+        for _ in range(2):
+            code = random_valid_code(rng, n, k, w, GF256)
+            assert code is not None
+            codes.append(code)
+    for code in codes:
+        costs = _pair_costs(code)
+        search = _RepairSearch(code)
+        for pair in itertools.combinations(range(1, code.n + 1), 2):
+            try:
+                cost = search.minimal_repair(pair, lex_ties=False).cost
+            except UndecodableError:
+                cost = None
+            assert costs.get(pair) == cost, pair
 
-    def recorded(self, kappa, e_pars, par_mask, need):
-        needs.append(need - kappa)
-        return build(self, kappa, e_pars, par_mask, need)
 
-    monkeypatch.setattr(_ParitySet, "_build_flats", recorded)
+def test_zero_parity_check_column_pairs_are_undecodable():
+    # data block 2 is in no parity's support: every pair holding it is
+    # lost, and the other pairs leave it unfetched
+    code = SystematicCode(GfMatrix([[1, 1], [0, 0], [1, 2]], GF256))
+    assert avg_repair_bandwidth_double(code) == DoubleRepairStats(2.0, 6, 4)
+    costs = _pair_costs(code)
+    for pair in itertools.combinations(range(1, code.n + 1), 2):
+        expected = minimal_repair_all_subsets(code, pair)
+        assert costs.get(pair) == (expected and expected[0]), pair
+
+
+def test_parity_pair_plans_match_oracle(code_16_10_w3):
+    # patterns erasing only parities (the small-alphabet codes' parity
+    # pairs are among the pairs of the test above), asked twice of one
+    # search and once of a fresh one
     code = dense_global_code(28)
     parities = range(code.k + 1, code.n + 1)
     _check_against_oracle(code, list(itertools.combinations(parities, 2)))
-    assert any(needs)  # some tables were cut above kappa
 
     for code in (code, code_16_10_w3):
-        shared = _RepairSearch(code, flats=True)
+        shared = _RepairSearch(code)
         pairs = list(itertools.combinations(range(code.k + 1, code.n + 1), 2))
         for pair in pairs + pairs:
             assert shared.minimal_repair(pair) == minimal_repair(code, pair)
-        assert not any(tab.flats for tab in shared._t_cache.values())
-
-
-def test_flats_search_matches_plain_search(code_16_10_w3):
-    # single, pair and triple patterns interleaved through one search that
-    # keeps its flats answer exactly as the public minimal_repair does
-    rng = random.Random(11)
-    for code in (code_16_10_w3, dense_global_code(5)):
-        shared = _RepairSearch(code, flats=True)
-        blocks = range(1, code.n + 1)
-        patterns = [(b,) for b in blocks]
-        patterns += rng.sample(list(itertools.combinations(blocks, 2)), 30)
-        patterns += rng.sample(list(itertools.combinations(blocks, 3)), 20)
-        rng.shuffle(patterns)
-        for pattern in patterns:
-            try:
-                expected = minimal_repair(code, pattern)
-            except UndecodableError:
-                with pytest.raises(UndecodableError):
-                    shared.minimal_repair(pattern)
-                continue
-            assert shared.minimal_repair(pattern) == expected, pattern
-            assert shared.minimal_repair(pattern, lex_ties=False).cost == (
-                expected.cost
-            ), pattern
 
 
 def test_plan_replay_reproduces_erased_blocks(code_15_10):
@@ -479,3 +485,22 @@ def test_disjoint_groups_beyond_n_24_closed_form():
     assert stats.mean_cost == 12.0
     assert stats.pairs == 294
     assert stats.undecodable_pairs == 4 * math.comb(7, 2) == 84
+
+
+def test_long_code_double_averages():
+    # exact double averages past n = 24 (random_support(spec, 1) with
+    # assign_coefficients(..., seed=1)), and sampled [26, 20] pairs priced
+    # alike by the parity-set search
+    for n, k, total in [(26, 20, 4759), (30, 24, 7872)]:
+        spec = CodeSpec(n, k, 3, GF256)
+        code = assign_coefficients(random_support(spec, 1), spec, seed=1)
+        pairs = math.comb(n, 2)
+        assert avg_repair_bandwidth_double(code) == DoubleRepairStats(
+            total / pairs, pairs, 0
+        )
+        if n == 26:
+            costs = _pair_costs(code)
+            search = _RepairSearch(code)
+            for pair in random.Random(26).sample(sorted(costs), 24):
+                plan = search.minimal_repair(pair, lex_ties=False)
+                assert plan.cost == costs[pair], pair

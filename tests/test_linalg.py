@@ -157,10 +157,10 @@ def vector_lists(draw):
     return field, draw(st.permutations(vecs + inside + [[0] * cols]))
 
 
-def _classes_by_insert_row(direction, items, field):
+def _classes_by_insert_row(span, items, field):
     # the reference path: insert into a basis, pop the residual, rescale
     basis = []
-    if direction is not None:
+    for direction in span:
         insert_row(basis, direction, field)
     classes = {}
     for vec, rows in items:
@@ -173,20 +173,29 @@ def _classes_by_insert_row(direction, items, field):
     return classes
 
 
-@given(data=vector_lists(), pick=st.integers(0, 10**6), scale=st.integers(1, 255))
+@given(
+    data=vector_lists(),
+    picks=st.lists(st.integers(0, 10**6), max_size=2),
+    scale=st.integers(1, 255),
+)
 @settings(max_examples=150, deadline=None)
-def test_proportional_classes_match_insert_row(data, pick, scale):
+def test_proportional_classes_match_insert_row(data, picks, scale):
     field, vecs = data
     nonzero = [v for v in vecs if any(v)]
-    direction = None
-    if nonzero and pick % 3:
-        # scaled multiples of the direction lie in its span
-        direction = nonzero[pick % len(nonzero)]
+    span = []
+    if nonzero:
+        # the span is taken in echelon form, as the rows of a Basis
+        basis = []
+        for pick in picks:
+            insert_row(basis, nonzero[pick % len(nonzero)], field)
+        span = [row for _, row in basis]
+    if span:
+        # scaled multiples of a direction lie in the span
         c = scale % (field.order - 1) + 1
-        vecs = vecs + [[field.mul(c, x) for x in direction]]
+        vecs = vecs + [[field.mul(c, x) for x in span[-1]]]
     items = [(v, 1 << i) for i, v in enumerate(vecs)]
-    got = proportional_classes(direction, items, field)
-    want = _classes_by_insert_row(direction, items, field)
+    got = proportional_classes(span, items, field)
+    want = _classes_by_insert_row(span, items, field)
     assert list(got.items()) == list(want.items())
 
 

@@ -515,15 +515,12 @@ def avg_repair_bandwidth_double(code: SystematicCode) -> DoubleRepairStats:
 
     One helper set serves both erased blocks.  Pairs that are not decodable
     (possible only when the distance is below 3) are excluded from the mean
-    and counted separately.
+    and counted separately; when none is decodable the mean is NaN.
     """
     costs = _pair_costs(code)
-    if not costs:
-        raise UndecodableError((0, 0))
     pairs = len(costs)
-    return DoubleRepairStats(
-        sum(costs.values()) / pairs, pairs, math.comb(code.n, 2) - pairs
-    )
+    mean = sum(costs.values()) / pairs if pairs else math.nan
+    return DoubleRepairStats(mean, pairs, math.comb(code.n, 2) - pairs)
 
 
 def undecodable_counts(code: SystematicCode, f_max: int) -> dict[int, int]:
@@ -588,24 +585,17 @@ def build_report(code: SystematicCode, f_max: int | None = None) -> MetricsRepor
         )
         f_max = min(n, max(w + 3, r))
     nonzeros = sum(1 for row in code.P.data for x in row if x)
-    try:
-        double = avg_repair_bandwidth_double(code)
-        double_mean = double.mean_cost
-        double_bad = double.undecodable_pairs
-    except UndecodableError:
-        # distance 2: no pair is recoverable at all
-        double_mean = math.nan
-        double_bad = math.comb(n, 2)
+    double = avg_repair_bandwidth_double(code)
     profile = decodability_profile(code, f_max)
     report = MetricsReport(
         storage_overhead=r / k,
         avg_repair_single=avg_repair_bandwidth_single(code),
-        avg_repair_double=double_mean,
+        avg_repair_double=double.mean_cost,
         avg_column_weight=nonzeros / r,
         update_complexity=update_complexity(code),
         decodability=profile,
         min_distance=minimum_distance(code),
-        double_undecodable_pairs=double_bad,
+        double_undecodable_pairs=double.undecodable_pairs,
     )
     _check_profile(report.decodability)
     return report

@@ -1,18 +1,18 @@
 """Reliability modeling: mean time to data loss of a coded stripe.
 
-A stripe of n blocks is modeled as an absorbing continuous-time Markov
-chain.  States count the available blocks; each failure arrives at rate
-(available * lambda) and branches on whether the resulting erasure pattern
-is still decodable (an undecodable branch is an absorbing "F" state).
-Repairs move one state up at rate gamma / (transfer_size * block_size).
-The stripe MTTDL is the expected time to absorption from the all-available
-state; the system MTTDL divides by the number of stripes in the cluster.
+A stripe of n blocks is modeled as a continuous-time birth-death chain
+with killing.  State f counts the failed blocks; each failure arrives at
+rate ((n - f) * lambda) and either moves to f + 1, when the resulting
+erasure pattern is still decodable, or loses data.  Repairs move one state
+down at rate gamma / (transfer_size * block_size).  The stripe MTTDL is
+the expected time to data loss from f = 0; the system MTTDL divides by
+the number of stripes in the cluster.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .analysis import MetricsReport
@@ -50,8 +50,12 @@ class ReliabilityParams:
             "repair_bandwidth_bps",
             "mttf_days",
         ):
-            if getattr(self, name) <= 0:
-                raise ParamsError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not value > 0:  # NaN fails this too
+                raise ParamsError(f"{name} must be positive, got {value}")
+            # an infinite MTTF is a stripe that never fails
+            if math.isinf(value) and name != "mttf_days":
+                raise ParamsError(f"{name} must be finite")
         if self.units not in UNIT_SCALES:
             raise ParamsError(f"unknown unit convention {self.units!r}")
 
@@ -125,56 +129,49 @@ def parse_params(text: str) -> ReliabilityParams:
     if units not in UNIT_SCALES:
         raise ParamsError(f"units must be decimal or binary, got {units!r}")
     scale = UNIT_SCALES[units]
-    base = ReliabilityParams.defaults(units)
-    kwargs = {
-        "total_bytes": base.total_bytes,
-        "nodes": base.nodes,
-        "block_bytes": base.block_bytes,
-        "repair_bandwidth_bps": base.repair_bandwidth_bps,
-        "mttf_days": base.mttf_days,
-        "units": units,
+    parsers = {
+        "C": ("total_bytes", lambda v: _parse_scaled(v, "B", scale)),
+        "N": ("nodes", int),
+        "B": ("block_bytes", lambda v: _parse_scaled(v, "B", scale)),
+        "gamma": (
+            "repair_bandwidth_bps",
+            lambda v: _parse_scaled(v, "bps", scale),
+        ),
+        "mttf": ("mttf_days", parse_duration_days),
     }
+    changes = {}
     for key, value in entries.items():
-        if key == "C":
-            kwargs["total_bytes"] = _parse_scaled(value, "B", scale)
-        elif key == "N":
-            kwargs["nodes"] = int(value)
-        elif key == "B":
-            kwargs["block_bytes"] = _parse_scaled(value, "B", scale)
-        elif key == "gamma":
-            kwargs["repair_bandwidth_bps"] = _parse_scaled(value, "bps", scale)
-        elif key == "mttf":
-            kwargs["mttf_days"] = parse_duration_days(value)
-        else:
+        if key not in parsers:
             raise ParamsError(f"unknown parameter key {key!r}")
-    return ReliabilityParams(**kwargs)
+        name, parse = parsers[key]
+        try:
+            changes[name] = parse(value)
+        except ValueError:
+            raise ParamsError(f"{key}: cannot parse value {value!r}") from None
+    return replace(ReliabilityParams.defaults(units), **changes)
 
 
 @dataclass(frozen=True)
 class MarkovModel:
-    """Absorbing CTMC over block-availability states.
+    """Birth-death chain with killing over the failure count f of a stripe.
 
-    rates[i][j] is the transition rate (per day) from state i to state j;
-    diagonal entries are zero, absorbing states have all-zero rows.
+    From state f, births[f] is the rate (per day) of a failure that leaves
+    the stripe decodable (to f + 1), repairs[f] the rate of a repair (to
+    f - 1) and kills[f] the rate of a failure that loses data.  The chain
+    starts at f = 0.
     """
 
-    states: tuple[str, ...]
-    rates: tuple[tuple[float, ...], ...]
-    initial: int
-    absorbing: frozenset[int]
-
-    def exit_rate(self, i: int) -> float:
-        return sum(self.rates[i])
+    births: tuple[float, ...]
+    repairs: tuple[float, ...]
+    kills: tuple[float, ...]
 
     def check(self) -> None:
-        for i in self.absorbing:
-            if any(self.rates[i]):
-                raise AssertionError(f"absorbing state {self.states[i]} has exits")
-        for i, row in enumerate(self.rates):
-            if row[i] != 0.0:
-                raise AssertionError("diagonal rate must be zero")
-            if any(x < 0 for x in row):
-                raise AssertionError("negative rate")
+        if not len(self.births) == len(self.repairs) == len(self.kills):
+            raise AssertionError("rate tuples differ in length")
+        if self.repairs[0] or self.births[-1]:
+            raise AssertionError("repair out of f=0 or birth past the end")
+        if any(x < 0 for x in self.births + self.repairs + self.kills):
+            raise AssertionError("negative rate")
 
 
 class ProfileError(ValueError):
@@ -193,8 +190,8 @@ def build_model(
     """Derive the failure/repair chain of one stripe from a metrics report.
 
     Repair transfer sizes default to the report's single and double repair
-    bandwidths, with k blocks for deeper repairs.  States whose next
-    failure can never be decoded collapse into a single down state.
+    bandwidths, with k blocks for deeper repairs.  The chain ends at the
+    first failure count whose next failure can never be decoded.
     """
     r = n - k
     profile = dict(report.decodability)
@@ -205,8 +202,6 @@ def build_model(
         prev = profile[f]
 
     def p(f: int) -> float:
-        if f <= 0:
-            return 1.0
         if f > r:
             return 0.0
         if f in profile:
@@ -219,118 +214,51 @@ def build_model(
     b2 = report.avg_repair_double if b2 is None else b2
     b_bulk = float(k) if b_bulk is None else b_bulk
 
-    lam = params.failure_rate_per_day
-    bw_day = params.repair_bytes_per_day
-
-    def rho(f: int) -> float:
-        size = b1 if f == 1 else (b2 if f == 2 else b_bulk)
-        return bw_day / (size * params.block_bytes)
-
     f_last = 0
     while f_last < r and p(f_last + 1) > 0.0:
         f_last += 1
 
-    labels: list[str] = []
-    index: dict[str, int] = {}
-
-    def add(label: str) -> int:
-        index[label] = len(labels)
-        labels.append(label)
-        return index[label]
-
+    lam = params.failure_rate_per_day
+    bw_day = params.repair_bytes_per_day
+    births, repairs, kills = [], [], []
     for f in range(f_last + 1):
-        add(str(n - f))
-    down = add(str(n - f_last - 1))
-    absorbing = {down}
-    for f in range(1, f_last + 1):
-        if p(f) < 1.0:
-            absorbing.add(add(f"{n - f}F"))
+        fail_rate = (n - f) * lam
+        pf_next = p(f + 1) if f < f_last else 0.0
+        births.append(fail_rate * pf_next)
+        kills.append(fail_rate * (1.0 - pf_next))
+        size = b1 if f == 1 else (b2 if f == 2 else b_bulk)
+        repairs.append(bw_day / (size * params.block_bytes) if f else 0.0)
 
-    size = len(labels)
-    rates = [[0.0] * size for _ in range(size)]
-    for f in range(f_last + 1):
-        i = index[str(n - f)]
-        avail = n - f
-        pf_next = p(f + 1)
-        fail_rate = avail * lam
-        if fail_rate > 0:
-            if f == f_last:
-                rates[i][down] += fail_rate
-            else:
-                good = index[str(n - f - 1)]
-                rates[i][good] += fail_rate * pf_next
-                if pf_next < 1.0:
-                    rates[i][index[f"{n - f - 1}F"]] += fail_rate * (
-                        1.0 - pf_next
-                    )
-        if f >= 1:
-            rates[i][index[str(n - f + 1)]] += rho(f)
-
-    model = MarkovModel(
-        states=tuple(labels),
-        rates=tuple(tuple(row) for row in rates),
-        initial=index[str(n)],
-        absorbing=frozenset(absorbing),
-    )
+    model = MarkovModel(tuple(births), tuple(repairs), tuple(kills))
     model.check()
     return model
 
 
 def mttdl_stripe(model: MarkovModel) -> float:
-    """Expected days until absorption from the initial state.
+    """Expected days until data loss from f = 0.
 
-    Solves t(s) * exit(s) = 1 + sum_r rate(s, r) t(r) over transient states
-    by Gaussian elimination in exact rational arithmetic (the repair/failure
-    rate ratio makes the float system catastrophically ill-conditioned).
-    Returns inf when no absorbing state is reachable.
+    The chain is cut at its first state m without births.  A forward pass
+    writes the expected time t_f = x_f + y_f t_{f+1}, eliminating t_{f-1}
+    from t_f (b_f + k_f + r_f) = 1 + b_f t_{f+1} + r_f t_{f-1}; since
+    y_m = 0, back-substitution starts at t_m = x_m.  The arithmetic is
+    exact rational (the repair/failure rate ratio makes the float system
+    catastrophically ill-conditioned).  Returns inf when data loss is not
+    certain, as when no state up to the cut can be killed.
     """
-    size = len(model.states)
-    transient = [i for i in range(size) if i not in model.absorbing]
-    # reachability of the absorbing set
-    reach = {model.initial}
-    frontier = [model.initial]
-    while frontier:
-        s = frontier.pop()
-        for j in range(size):
-            if model.rates[s][j] > 0 and j not in reach:
-                reach.add(j)
-                frontier.append(j)
-    if not (reach & model.absorbing):
-        return math.inf
-
-    idx = {s: i for i, s in enumerate(transient)}
-    m = len(transient)
-    A = [[Fraction(0)] * m for _ in range(m)]
-    b = [Fraction(1)] * m
-    for s in transient:
-        i = idx[s]
-        # the exit rate must be the exact sum of the same Fraction values
-        # subtracted off-diagonal, or the near-singular balance breaks
-        A[i][i] = sum(
-            (Fraction(x) for x in model.rates[s] if x), Fraction(0)
-        )
-        for t in transient:
-            if t != s and model.rates[s][t]:
-                A[i][idx[t]] -= Fraction(model.rates[s][t])
-    for c in range(m):
-        piv = next((i for i in range(c, m) if A[i][c] != 0), None)
-        if piv is None:
-            return math.inf  # isolated transient subchain
-        A[c], A[piv] = A[piv], A[c]
-        b[c], b[piv] = b[piv], b[c]
-        for i in range(c + 1, m):
-            if A[i][c]:
-                factor = A[i][c] / A[c][c]
-                for j in range(c, m):
-                    A[i][j] -= factor * A[c][j]
-                b[i] -= factor * b[c]
-    t = [Fraction(0)] * m
-    for i in range(m - 1, -1, -1):
-        acc = b[i]
-        for j in range(i + 1, m):
-            acc -= A[i][j] * t[j]
-        t[i] = acc / A[i][i]
-    return float(t[idx[model.initial]])
+    m = model.births.index(0.0)
+    steps = []
+    x = y = Fraction(0)
+    for b, r, k in zip(model.births[: m + 1], model.repairs, model.kills):
+        b, r = Fraction(b), Fraction(r)
+        e = b + Fraction(k) + r * (1 - y)
+        if not e:
+            return math.inf
+        x, y = (1 + r * x) / e, b / e
+        steps.append((x, y))
+    t = Fraction(0)
+    for x, y in reversed(steps):
+        t = x + y * t
+    return float(t)
 
 
 def mttdl_system(stripe_mttdl: float, n: int, params: ReliabilityParams) -> float:

@@ -523,27 +523,15 @@ def test_criterion_08_search_quality_and_determinism():
 
 def test_criterion_09_markov_solver_checks():
     f1, r1, f2 = 1.4, 2000.0, 0.3
-    model = MarkovModel(
-        states=("up", "deg", "down"),
-        rates=((0.0, f1, 0.0), (r1, 0.0, f2), (0.0, 0.0, 0.0)),
-        initial=0,
-        absorbing=frozenset({2}),
-    )
+    model = MarkovModel(births=(f1, 0.0), repairs=(0.0, r1), kills=(0.0, f2))
     closed_form = (f1 + r1 + f2) / (f1 * f2)
     solved = mttdl_stripe(model)
     assert abs(solved - closed_form) / closed_form < 1e-9
 
     five = MarkovModel(
-        states=("5", "4", "3", "4F", "2"),
-        rates=(
-            (0.0, 5.0, 0.0, 0.0, 0.0),
-            (40.0, 0.0, 3.2, 0.8, 0.0),
-            (0.0, 25.0, 0.0, 0.0, 3.0),
-            (0.0,) * 5,
-            (0.0,) * 5,
-        ),
-        initial=0,
-        absorbing=frozenset({3, 4}),
+        births=(5.0, 3.2, 0.0),
+        repairs=(0.0, 40.0, 25.0),
+        kills=(0.0, 0.8, 3.0),
     )
     exact = mttdl_stripe(five)
     est, stderr = simulate_mttdl(five, trials=100_000, seed=5)

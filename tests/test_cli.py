@@ -4,6 +4,7 @@ import pytest
 
 from blrc import analysis, cli
 from blrc.cli import main
+from blrc.code import validate
 from blrc.codefile import read_code_text, write_code_text
 from blrc.presets import blrc_15_10_w3
 
@@ -102,6 +103,29 @@ def test_missing_code_file(capsys):
     rc, _, err = run(capsys, "analyze", "no-such-code")
     assert rc == 1
     assert "not found" in err
+
+
+@pytest.mark.parametrize(
+    "line, named",
+    [
+        ("N abc", "N:"),
+        ("C lotsPB", "C:"),
+        ("mttf forever", "mttf:"),
+        ("mttf nan", "mttf_days"),
+        ("gamma inf", "repair_bandwidth_bps"),
+    ],
+)
+def test_mttdl_rejects_bad_parameter_values(
+    capsys, code_file, tmp_path, line, named
+):
+    params = tmp_path / "cluster.cfg"
+    params.write_text(line + "\n")
+    rc, out, err = run(
+        capsys, "mttdl", str(code_file), "--params", str(params)
+    )
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and named in err
 
 
 def test_mttdl_outputs_units(capsys, code_file):
@@ -232,6 +256,20 @@ def test_search_cli_writes_valid_code(capsys, tmp_path):
     assert code.n == 12 and code.k == 8
     assert "search" in meta
     assert trace.read_text().startswith("restart,iteration,objective")
+
+
+def test_search_single_parity_returns_first_valid_code(capsys, tmp_path):
+    # r = 1: no pair is decodable, so the double average is NaN and the
+    # climb never accepts a proposal
+    out = tmp_path / "found.code"
+    rc, _, err = run(
+        capsys, "search", "--n", "12", "--k", "11", "--d", "2",
+        "--out", str(out),
+    )
+    assert rc == 0, err
+    code, _ = read_code_text(out.read_text(encoding="ascii"))
+    assert (code.n, code.k) == (12, 11)
+    assert validate(code.P, code.spec).passed
 
 
 def test_search_infeasible_parameters(capsys):

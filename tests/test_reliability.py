@@ -1,8 +1,16 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from blrc.analysis import MetricsReport, build_report
+from blrc.presets import blrc_15_10_w3, blrc_16_10_w2, blrc_16_10_w3
+from blrc.refcodes import (
+    build_azure_lrc,
+    build_replication,
+    build_rs,
+    build_xorbas_lrc,
+)
 from blrc.reliability import (
     DAYS_PER_YEAR,
     MarkovModel,
@@ -18,25 +26,11 @@ from util_simulation import simulate_mttdl
 
 
 def two_state_chain(lam):
-    return MarkovModel(
-        states=("up", "down"),
-        rates=((0.0, lam), (0.0, 0.0)),
-        initial=0,
-        absorbing=frozenset({1}),
-    )
+    return MarkovModel(births=(0.0,), repairs=(0.0,), kills=(lam,))
 
 
 def three_state_chain(f1, r1, f2):
-    return MarkovModel(
-        states=("up", "degraded", "down"),
-        rates=(
-            (0.0, f1, 0.0),
-            (r1, 0.0, f2),
-            (0.0, 0.0, 0.0),
-        ),
-        initial=0,
-        absorbing=frozenset({2}),
-    )
+    return MarkovModel(births=(f1, 0.0), repairs=(0.0, r1), kills=(0.0, f2))
 
 
 def test_two_state_exponential_sojourn():
@@ -53,10 +47,7 @@ def test_three_state_closed_form():
 
 def test_unreachable_absorption_is_infinite():
     model = MarkovModel(
-        states=("up", "also-up", "down"),
-        rates=((0.0, 1.0, 0.0), (2.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
-        initial=0,
-        absorbing=frozenset({2}),
+        births=(1.0, 0.0), repairs=(0.0, 2.0), kills=(0.0, 0.0)
     )
     assert mttdl_stripe(model) == math.inf
 
@@ -79,33 +70,28 @@ def test_model_structure_for_15_10(code_15_10):
     params = ReliabilityParams.defaults()
     model = build_model(report, 15, 10, params)
     model.check()
-    idx = {s: i for i, s in enumerate(model.states)}
-    assert set(model.states) == {
-        "15", "14", "13", "12", "11", "10", "9", "11F", "10F",
-    }
+    # states f = 0..5 (15 down to 10 available); the sixth failure loses data
+    assert len(model.births) == 6
     lam = params.failure_rate_per_day
     bw = params.repair_bytes_per_day
     B = params.block_bytes
-    # failure cascade and one-step-up repairs
-    assert model.rates[idx["15"]][idx["14"]] == pytest.approx(15 * lam)
-    assert model.rates[idx["14"]][idx["15"]] == pytest.approx(bw / (6 * B))
-    assert model.rates[idx["13"]][idx["14"]] == pytest.approx(bw / (9 * B))
-    assert model.rates[idx["12"]][idx["13"]] == pytest.approx(bw / (10 * B))
+    # failure cascade and one-step-down repairs
+    assert model.births[0] == pytest.approx(15 * lam)
+    assert model.repairs[0] == 0.0
+    assert model.repairs[1] == pytest.approx(bw / (6 * B))
+    assert model.repairs[2] == pytest.approx(bw / (9 * B))
+    assert model.repairs[3] == pytest.approx(bw / (10 * B))
     p4 = report.decodability[4]
     p5 = report.decodability[5]
-    assert model.rates[idx["12"]][idx["11"]] == pytest.approx(12 * lam * p4)
-    assert model.rates[idx["12"]][idx["11F"]] == pytest.approx(
-        12 * lam * (1 - p4)
-    )
-    assert model.rates[idx["11"]][idx["10F"]] == pytest.approx(
-        11 * lam * (1 - p5)
-    )
-    assert model.rates[idx["10"]][idx["9"]] == pytest.approx(10 * lam)
-    assert model.absorbing == {idx["9"], idx["11F"], idx["10F"]}
-    # generator row sums vanish on transient rows once the diagonal is added
-    for i in range(len(model.states)):
-        if i not in model.absorbing:
-            assert model.exit_rate(i) > 0
+    assert model.births[3] == pytest.approx(12 * lam * p4)
+    assert model.kills[3] == pytest.approx(12 * lam * (1 - p4))
+    assert model.kills[4] == pytest.approx(11 * lam * (1 - p5))
+    assert model.kills[5] == pytest.approx(10 * lam)
+    assert model.births[5] == 0.0
+    # only the fourth, fifth and sixth failures can lose data
+    assert [f for f, x in enumerate(model.kills) if x] == [3, 4, 5]
+    for f in range(6):
+        assert model.births[f] + model.repairs[f] + model.kills[f] > 0
 
 
 def test_mds_like_profile_has_no_f_states():
@@ -119,7 +105,9 @@ def test_mds_like_profile_has_no_f_states():
         min_distance=5,
     )
     model = build_model(report, 14, 10, ReliabilityParams.defaults())
-    assert not any(s.endswith("F") for s in model.states)
+    # no failure short of the fifth loses data
+    assert len(model.kills) == 5
+    assert not any(model.kills[:-1]) and model.kills[-1] > 0
 
 
 def test_increasing_profile_rejected():
@@ -167,20 +155,47 @@ def test_simulation_agrees_with_solver():
     # five-state repairable chain kept failure-heavy so absorption happens
     # within a few transitions and 1e5 trials stay cheap
     model = MarkovModel(
-        states=("4", "3", "2", "3F", "1"),
-        rates=(
-            (0.0, 4.0, 0.0, 0.0, 0.0),
-            (30.0, 0.0, 2.4, 0.6, 0.0),
-            (0.0, 20.0, 0.0, 0.0, 2.0),
-            (0.0,) * 5,
-            (0.0,) * 5,
-        ),
-        initial=0,
-        absorbing=frozenset({3, 4}),
+        births=(4.0, 2.4, 0.0),
+        repairs=(0.0, 30.0, 20.0),
+        kills=(0.0, 0.6, 2.0),
     )
     exact = mttdl_stripe(model)
     est, stderr = simulate_mttdl(model, trials=100_000, seed=11)
     assert abs(est - exact) <= 3 * stderr
+
+
+def _pinned_reports():
+    for builder in (blrc_15_10_w3, blrc_16_10_w2, blrc_16_10_w3):
+        code = builder()
+        yield builder.__name__, build_report(code), code.n, code.k
+    for ref in (build_rs(14, 10), build_replication(3), build_xorbas_lrc()):
+        yield ref.label, ref.report, ref.n, ref.k
+    azure = build_azure_lrc()
+    yield "azure designed", azure.report, 16, 10
+    yield "azure structural", azure.structural_report, 16, 10
+
+
+# stripe MTTDLs (days) under the default parameters; any exact solve of
+# the same chain rounds to these floats, so they hold bit for bit
+PINNED_STRIPE_MTTDL = {
+    "blrc_15_10_w3": 2.63237394772168e21,
+    "blrc_16_10_w2": 5122663064161932.0,
+    "blrc_16_10_w3": 3.841884429229749e21,
+    "[14, 10] RS": 8.746933256675941e24,
+    "3-replication": 9.231556361231276e17,
+    "[16, 10] Xorbas LRC": 8.018016944924353e24,
+    "azure designed": 6.414415638754978e24,
+    "azure structural": 1.5317118817914681e28,
+}
+
+
+def test_stripe_mttdl_pinned_exactly():
+    params = ReliabilityParams.defaults()
+    solved = {
+        name: mttdl_stripe(build_model(report, n, k, params))
+        for name, report, n, k in _pinned_reports()
+    }
+    assert solved == PINNED_STRIPE_MTTDL
 
 
 def test_system_mttdl_divides_by_stripe_count():
@@ -211,6 +226,28 @@ def test_params_parsing_defaults_and_overrides():
         parse_params("unknown 4\n")
     with pytest.raises(ParamsError):
         parse_params("units metric\n")
+
+
+NUMERIC_FIELDS = (
+    "total_bytes",
+    "nodes",
+    "block_bytes",
+    "repair_bandwidth_bps",
+    "mttf_days",
+)
+
+
+@pytest.mark.parametrize("name", NUMERIC_FIELDS)
+def test_params_reject_nan(name):
+    with pytest.raises(ParamsError, match=name):
+        replace(ReliabilityParams.defaults(), **{name: math.nan})
+
+
+@pytest.mark.parametrize("name", NUMERIC_FIELDS[:-1])
+def test_params_reject_infinity_except_mttf(name):
+    # mttf alone may be infinite: see the zero-failure-rate test
+    with pytest.raises(ParamsError, match=name):
+        replace(ReliabilityParams.defaults(), **{name: math.inf})
 
 
 def test_published_table_reconciliation(code_16_10_w3):

@@ -19,22 +19,20 @@ def simulate_mttdl(
     rng = random.Random(seed)
     total = 0.0
     total_sq = 0.0
-    size = len(model.states)
     for _ in range(trials):
-        s = model.initial
+        f = 0
         t = 0.0
-        while s not in model.absorbing:
-            exit_rate = model.exit_rate(s)
+        while True:
+            repair, birth = model.repairs[f], model.births[f]
+            exit_rate = repair + birth + model.kills[f]
             t += rng.expovariate(exit_rate)
             x = rng.random() * exit_rate
-            acc = 0.0
-            nxt = s
-            for j in range(size):
-                acc += model.rates[s][j]
-                if x < acc:
-                    nxt = j
-                    break
-            s = nxt
+            if x < repair:
+                f -= 1
+            elif x < repair + birth:
+                f += 1
+            else:
+                break  # data lost
         total += t
         total_sq += t * t
     mean = total / trials

@@ -1,8 +1,8 @@
 """Repair-bandwidth and decodability metrics.
 
-The double-repair average, which ranks codes, is computed in the dual: from
-the columns of the parity-check matrix H = [P^T | I_r].  Survivors S can
-stay unfetched in a repair of the erased set E exactly when no codeword
+Both repair averages, which rank codes, are computed in the dual: from the
+columns of the parity-check matrix H = [P^T | I_r].  Survivors S can stay
+unfetched in a repair of the erased set E exactly when no codeword
 vanishing off S u E is nonzero on E, that is, when
 rank(H_{S u E}) = rank(H_S) + |E| (S is skew to E).  Two lines prove the
 cost formula:
@@ -11,23 +11,37 @@ cost formula:
   * a skew flat of lower rank grows by any column outside the span of
     S u E, so a largest S is a skew flat of rank r - |E|.
 
-A flat of rank r - 2 holds r - 2 nonzero columns unless it is dependent,
-and holds every zero column (a data block no parity covers).  So a pair
-whose two columns are independent costs n - 2 - (zero columns) -
-max(r - 2, the nonzero columns of the largest dependent flat of rank r - 2
-skew to it), and a pair whose columns are dependent is undecodable.  One
-_flats_above call lists every dependent flat of rank r - 2, some of them
-partly (a flat found from a later direction lacks its earlier ones).  The
-flats are walked largest first, each completed to its closure; a mask
-whose closure is larger is skipped, because that closure came earlier.
-The columns outside a flat split into proportional classes modulo its
-span, and a pair from two different classes is skew to it, so each pair
-is priced at the first flat it is skew to.
+A flat holds every zero column (a data block no parity covers), and E is
+undecodable when its columns are dependent.  Otherwise, for |E| = 1 and 2,
 
-minimal_repair answers one pattern with a plan: the smallest set of
-surviving blocks whose generator columns span the columns of every erased
-block, with ties broken toward the lexicographically smallest index set.
-The search is organized around the parity blocks used by a plan:
+  cost(E) = (nonzero columns - |E|)
+            - (nonzero columns of the largest flat of rank r - |E| skew to E).
+
+Each row j of H bounds the single costs.  Two lines prove the bound:
+
+  * the columns with a zero in row j include the unit columns of the other
+    r - 1 parities, so they span the hyperplane x_j = 0 and hold every
+    column inside it: they are a closed flat of rank r - 1;
+  * a column with a nonzero in row j lies outside that hyperplane, so the
+    flat is skew to every block row j covers (its local group's repair).
+
+So a block starts at the largest such flat among the rows covering it,
+and a pair whose columns are independent at r - 2 columns: a flat of rank
+r - 2 holds more only when it is dependent.  One _flats_above call lists
+every flat of that rank holding more columns than the smallest start,
+some of them partly (a flat found from a later direction lacks its
+earlier ones).  _closed_flats walks them largest first, skipping a mask
+whose closure is larger, because that closure came earlier.  The columns
+outside a flat split into proportional classes modulo its span: every
+column outside a hyperplane is skew to it (the quotient is a line), and a
+pair from two different classes is skew to a flat of rank r - 2.  So each
+block or pair is priced at the first flat it is skew to.
+
+Plans stay primal.  minimal_repair answers one pattern with a plan: the
+smallest set of surviving blocks whose generator columns span the columns
+of every erased block, with ties broken toward the lexicographically
+smallest index set.  The search is organized around the parity blocks
+used by a plan:
 
   * any minimal plan fetches a subset T of surviving parities plus data
     blocks drawn from the supports of T and of the erased parities (a data
@@ -41,17 +55,16 @@ For a fixed T the unfetched blocks that work are closed under taking
 subsets, so a depth-first search that adds one block at a time to an
 incremental span test, dropping every prefix that fails, finds the
 largest such set (the cheapest plan) and, among those, the one giving
-the lexicographically smallest helper set.  What depends on T alone is
-kept in one table per T and shared by every erasure pattern of one
-search: the rows restricted to T and the rows two parities of T cover.
-The depth-first search inserts with linalg.echelon_insert, whose basis
-never stores a row it rejects.
+the lexicographically smallest helper set.  The depth-first search
+inserts with linalg.echelon_insert, whose basis never stores a row it
+rejects.
 
 Every candidate is verified by an exact span test, so the result is
 identical to a plain size-ordered search over all survivor subsets (the
 test suite checks this against an independent all-subsets oracle, and
-checks the two ways of pricing a pair against each other).  Both answer
-every code length, so a long code costs time, never exactness.
+checks the plans' costs against the flats' for every single and pair).
+Both answer every code length, so a long code costs time, never
+exactness.
 """
 
 from __future__ import annotations
@@ -94,8 +107,7 @@ class RepairPlan:
 
     cost equals len(helpers), the fewest surviving blocks any repair of the
     pattern reads, at every code length; the helpers are the
-    lexicographically smallest set of that size unless the query waived
-    ties.
+    lexicographically smallest set of that size.
     """
 
     erased: tuple[int, ...]
@@ -137,26 +149,6 @@ def normalize_pattern(code: SystematicCode, erased) -> ErasurePattern:
     return pattern
 
 
-class _ParitySet:
-    """Tables of one parity set T, shared by every erasure pattern.
-
-    restr[i] is data row i restricted to the columns of T, t_mask the rows
-    T covers and multi the rows at least two parities of T cover.
-    """
-
-    __slots__ = ("t_mask", "multi", "restr")
-
-    def __init__(self, P: list[list[int]], col_mask: list[int], T):
-        t_mask = 0
-        multi = 0
-        for t in T:
-            multi |= t_mask & col_mask[t]
-            t_mask |= col_mask[t]
-        self.t_mask = t_mask
-        self.multi = multi
-        self.restr = {i: [P[i][t] for t in T] for i in _bits(t_mask)}
-
-
 def _flats_above(dirs, kappa: int, need: int, field) -> list[int]:
     """Column masks of kappa-flats of dirs, (direction, column mask) pairs
     of pairwise independent directions, that hold more than need columns.
@@ -192,6 +184,108 @@ def _flats_above(dirs, kappa: int, need: int, field) -> list[int]:
     return out
 
 
+def _closed_flats(dirs, cols, kappa: int, need: int, field):
+    """(mask, classes) of every closed kappa-flat of dirs holding more than
+    need columns, largest first; cols[b] is the column of bit b.  classes
+    splits the columns outside the flat into proportional classes modulo
+    its span.  A mask _flats_above returns without part of its flat is not
+    closed: a direction outside it lies in its span, and is skipped.
+    """
+    nonzero = 0
+    for _, mask in dirs:
+        nonzero |= mask
+    masks = _flats_above(dirs, kappa, need, field)
+    for flat in sorted(masks, key=int.bit_count, reverse=True):
+        basis: Basis = []
+        for b in _bits(flat):
+            insert_row(basis, cols[b], field)
+            if len(basis) == kappa:
+                break
+        outside = [d for d in dirs if not d[1] & flat]
+        classes = proportional_classes([v for _, v in basis], outside, field)
+        skew_to = 0
+        for mask in classes.values():
+            skew_to |= mask
+        if skew_to == nonzero & ~flat:
+            yield flat, list(classes.values())
+
+
+def _directions(code: SystematicCode):
+    """The parity-check columns, and their proportional classes as
+    (direction, mask) pairs; bit b of a mask stands for block b + 1."""
+    cols = [code.parity_check_column(b + 1) for b in range(code.n)]
+    items = [(col, 1 << b) for b, col in enumerate(cols)]
+    return cols, list(proportional_classes((), items, code.field).items())
+
+
+def _single_costs(code: SystematicCode) -> list[int]:
+    """Minimal repair cost of every single block, from the hyperplanes of
+    the parity-check columns (see the module docstring)."""
+    n, r = code.n, code.r
+    cols, dirs = _directions(code)
+    for b, col in enumerate(cols):
+        if not any(col):
+            raise UndecodableError((b + 1,))
+    # held[b]: nonzero columns of the largest hyperplane known skew to b,
+    # starting at the rows of H that cover b
+    held = [0] * n
+    for j in range(r):
+        covered = [b for b in range(n) if cols[b][j]]
+        for b in covered:
+            held[b] = max(held[b], n - len(covered))
+    if r > 1:
+        open_ = (1 << n) - 1
+        for flat, _ in _closed_flats(dirs, cols, r - 1, min(held), code.field):
+            size = flat.bit_count()
+            for b in _bits(open_ & ~flat):
+                held[b] = max(held[b], size)
+            open_ &= flat
+            if not open_:
+                break
+    return [n - 1 - h for h in held]
+
+
+def avg_repair_bandwidth_single(code: SystematicCode) -> float:
+    """Mean minimal repair cost over all n single-block erasures."""
+    return sum(_single_costs(code)) / code.n
+
+
+def _pair_costs(code: SystematicCode) -> dict[tuple[int, int], int]:
+    """Minimal joint repair cost of every decodable block pair, from the
+    flats of the parity-check columns (see the module docstring)."""
+    n, rho = code.n, code.r - 2
+    cols, dirs = _directions(code)
+    nonzero = 0
+    for _, mask in dirs:
+        nonzero |= mask
+    # open_[a]: the blocks b > a whose pair with a is decodable and unpriced
+    open_ = [0] * n
+    for _, mask in dirs:
+        for a in _bits(mask):
+            open_[a] = nonzero & ~mask & -(2 << a)
+    # a pair reads every nonzero column but its own and the unfetched ones
+    reads = nonzero.bit_count() - 2
+    costs = {}
+    if rho > 0 and any(open_):
+        for flat, classes in _closed_flats(dirs, cols, rho, rho, code.field):
+            cost = reads - flat.bit_count()
+            skew_to = nonzero & ~flat
+            for mask in classes:
+                skew = skew_to & ~mask
+                for a in _bits(mask):
+                    hit = open_[a] & skew
+                    if hit:
+                        open_[a] ^= hit
+                        for b in _bits(hit):
+                            costs[a + 1, b + 1] = cost
+            if not any(open_):
+                break
+    for a, mask in enumerate(open_):
+        for b in _bits(mask):
+            costs[a + 1, b + 1] = reads - rho
+    return costs
+
+
 def _largest_extension(
     basis: LogBasis,
     vecs: list[list[int]],
@@ -199,12 +293,11 @@ def _largest_extension(
     field,
     beat: int,
     hi: int,
-    lex: bool,
 ) -> list[int] | None:
-    """Positions of a largest set of vecs whose insertion keeps every lead
-    of basis below column na, when that set has more than beat members;
-    None otherwise.  hi bounds the size from above.  With lex, the set is
-    the lexicographically first of that size: it leaves out the earliest
+    """Positions of the lexicographically first of the largest sets of vecs
+    whose insertion keeps every lead of basis below column na, when that
+    set has more than beat members; None otherwise.  hi bounds the size
+    from above.  The lexicographically first set leaves out the earliest
     positions.
 
     Such sets are closed under taking subsets, so a depth-first search
@@ -218,16 +311,14 @@ def _largest_extension(
         return None
     m = len(vecs)
     best = beat
-    found: list[int] = []
     chosen: list[int] = []
 
     def largest(j: int) -> bool:
-        nonlocal best, found
+        nonlocal best
         if len(chosen) + m - j <= best:
             return False
         if j == m:
             best = len(chosen)
-            found = list(chosen)
             return best >= hi
         lead = echelon_insert(basis, vecs[j], na, field)
         if lead is None or lead < na:
@@ -243,8 +334,6 @@ def _largest_extension(
     largest(0)
     if best == beat:
         return None
-    if not lex:
-        return found
 
     def first(j: int) -> bool:
         if len(chosen) == best:
@@ -267,156 +356,89 @@ def _largest_extension(
     return chosen
 
 
-class _RepairSearch:
-    """Repair queries on one code, sharing one table per parity set."""
+def _best_for_parity_set(
+    P, col_mask, field, T, e_rows, e_pars, targets, cost_cap
+) -> tuple[int, tuple[int, ...]] | None:
+    """Cheapest feasible plan that fetches exactly the parity set T (and
+    actually uses every parity in it), or None when none is below
+    cost_cap.  Returns (cost, sorted block tuple), the lexicographically
+    smallest such tuple.
 
-    def __init__(self, code: SystematicCode):
-        self.k = code.k
-        self.r = code.r
-        self.n = code.n
-        self.P = code.P.data
-        self.field = code.field
-        # row sets as bitmasks, bit i = data row i
-        self.col_mask = [
-            sum(1 << i for i in range(self.k) if self.P[i][j])
-            for j in range(self.r)
-        ]
-        self._t_cache: dict[tuple[int, ...], _ParitySet] = {}
+    Plans with an unused helper are never cost-minimal (dropping the
+    helper would beat them), so restricting to all-parities-used plans
+    loses no optimum and no tie candidate.
+    """
+    k = len(P)
+    # the rows T covers, and the rows at least two parities of T cover
+    t_mask = multi = 0
+    for t in T:
+        multi |= t_mask & col_mask[t]
+        t_mask |= col_mask[t]
+    e_mask = 0
+    for i in e_rows:
+        e_mask |= 1 << i
+    if e_mask & ~t_mask:
+        return None  # an erased data row no parity equation touches
+    par_mask = 0
+    for p in e_pars:
+        par_mask |= col_mask[p]
 
-    def minimal_repair(
-        self, erased: ErasurePattern, lex_ties: bool = True
-    ) -> RepairPlan:
-        """With lex_ties=False, equal-cost candidates are pruned early; the
-        cost is still exact but the helper set may not be the
-        lexicographically smallest one (used by the averaging loops)."""
-        if not erased:
-            return RepairPlan((), (), 0)
+    # A row only one parity t of T covers can stay unfetched only for
+    # an erased parity's sake: every combination repairing an erased
+    # data row vanishes on it, so it leaves t out, and a combination
+    # repairing an erased parity must match that parity's coefficient
+    # on it, which is nonzero only on the parity's support.  (Were t
+    # used by no combination, dropping it would give a cheaper plan.)
+    pool_mask = (multi | t_mask & par_mask) & ~e_mask
+    forced_mask = (t_mask | par_mask) & ~e_mask & ~pool_mask
 
-        k = self.k
-        e_rows = [b - 1 for b in erased if b <= k]
-        e_pars = [b - k - 1 for b in erased if b > k]
-        surviving_parities = [
-            j for j in range(self.r) if (k + 1 + j) not in erased
-        ]
-        slack = 1 if lex_ties else 0
-        # target part of each row: unit flags for erased data rows, then
-        # coefficients of erased parity columns
-        targets = {
-            i: [1 if i == ie else 0 for ie in e_rows]
-            + [self.P[i][p] for p in e_pars]
-            for i in range(k)
-        }
+    # leaving f pool rows unfetched costs base + n_pool - f, which
+    # beats cost_cap only when f > beat
+    base = len(T) + forced_mask.bit_count()
+    n_pool = pool_mask.bit_count()
+    beat = n_pool - (cost_cap - base)
+    # the unfetched rows, each extended by its coefficients in the
+    # erased parities, span at most kappa dimensions: the fetched
+    # columns must give one unit vector per erased data row vanishing
+    # on them, and match every erased parity on them
+    kappa = len(T) - len(e_rows)
+    f_hi = n_pool if kappa > 0 else 0
+    if kappa < 0 or f_hi <= beat:
+        return None
 
-        best_cost = self.n + 1
-        best_set: tuple[int, ...] | None = None
-
-        for t_size in range(len(surviving_parities) + 1):
-            if t_size >= best_cost + slack:
-                break
-            if t_size < len(e_rows):
-                continue  # |T| >= number of erased data blocks is necessary
-            for T in itertools.combinations(surviving_parities, t_size):
-                found = self._best_for_parity_set(
-                    T, e_rows, e_pars, targets, best_cost + slack, lex_ties
-                )
-                if found is not None:
-                    cost, helper_set = found
-                    if cost < best_cost or (
-                        cost == best_cost
-                        and best_set is not None
-                        and helper_set < best_set
-                    ):
-                        best_cost = cost
-                        best_set = helper_set
-        if best_set is None:
-            # every helper set spanning the erased columns is a plan, so
-            # the search finds none exactly when the pattern is undecodable
-            raise UndecodableError(erased)
-        return RepairPlan(tuple(erased), best_set, best_cost)
-
-    def _best_for_parity_set(
-        self, T, e_rows, e_pars, targets, cost_cap, lex_ties
-    ) -> tuple[int, tuple[int, ...]] | None:
-        """Cheapest feasible plan that fetches exactly the parity set T (and
-        actually uses every parity in it), or None when none is below
-        cost_cap.  Returns (cost, sorted block tuple), the lexicographically
-        smallest such tuple when lex_ties.
-
-        Plans with an unused helper are never cost-minimal (dropping the
-        helper would beat them), so restricting to all-parities-used plans
-        loses no optimum and no tie candidate.
-        """
-        k = self.k
-        tab = self._t_cache.get(T)
-        if tab is None:
-            tab = self._t_cache[T] = _ParitySet(self.P, self.col_mask, T)
-        e_mask = 0
-        for i in e_rows:
-            e_mask |= 1 << i
-        if e_mask & ~tab.t_mask:
-            return None  # an erased data row no parity equation touches
-        par_mask = 0
-        for p in e_pars:
-            par_mask |= self.col_mask[p]
-
-        # A row only one parity t of T covers can stay unfetched only for
-        # an erased parity's sake: every combination repairing an erased
-        # data row vanishes on it, so it leaves t out, and a combination
-        # repairing an erased parity must match that parity's coefficient
-        # on it, which is nonzero only on the parity's support.  (Were t
-        # used by no combination, dropping it would give a cheaper plan.)
-        pool_mask = (tab.multi | tab.t_mask & par_mask) & ~e_mask
-        forced_mask = (tab.t_mask | par_mask) & ~e_mask & ~pool_mask
-
-        # leaving f pool rows unfetched costs base + n_pool - f, which
-        # beats cost_cap only when f > beat
-        base = len(T) + forced_mask.bit_count()
-        n_pool = pool_mask.bit_count()
-        beat = n_pool - (cost_cap - base)
-        # the unfetched rows, each extended by its coefficients in the
-        # erased parities, span at most kappa dimensions: the fetched
-        # columns must give one unit vector per erased data row vanishing
-        # on them, and match every erased parity on them
-        kappa = len(T) - len(e_rows)
-        f_hi = n_pool if kappa > 0 else 0
-        if kappa < 0 or f_hi <= beat:
+    # A fetched set is feasible iff no vector of the span of its
+    # erased and unfetched rows [row restricted to T | target part]
+    # starts in a target column, so the unfetched sets that work are
+    # closed under taking subsets.  The erased rows' basis is also the
+    # quick reject for fetching every support row.
+    na = len(T)
+    basis: LogBasis = []
+    for i in e_rows:
+        row = [P[i][t] for t in T] + targets[i]
+        lead = echelon_insert(basis, row, na, field)
+        if lead is not None and lead >= na:
             return None
 
-        # A fetched set is feasible iff no vector of the span of its
-        # erased and unfetched rows [restricted row | target part] starts
-        # in a target column, so the unfetched sets that work are closed
-        # under taking subsets.  The erased rows' basis is also the quick
-        # reject for fetching every support row.
-        na = len(T)
-        fld = self.field
-        restr = tab.restr
-        basis: LogBasis = []
-        for i in e_rows:
-            lead = echelon_insert(basis, restr[i] + targets[i], na, fld)
-            if lead is not None and lead >= na:
-                return None
-
-        pool = _bits(pool_mask)
-        unfetched = _largest_extension(
-            basis,
-            [restr[i] + targets[i] for i in pool],
-            na,
-            fld,
-            beat,
-            f_hi,
-            lex_ties,
+    pool = _bits(pool_mask)
+    unfetched = _largest_extension(
+        basis,
+        [[P[i][t] for t in T] + targets[i] for i in pool],
+        na,
+        field,
+        beat,
+        f_hi,
+    )
+    if unfetched is None:
+        return None
+    left = {pool[j] for j in unfetched}
+    helpers = tuple(
+        sorted(
+            [i + 1 for i in pool if i not in left]
+            + [i + 1 for i in _bits(forced_mask)]
+            + [k + 1 + t for t in T]
         )
-        if unfetched is None:
-            return None
-        left = {pool[j] for j in unfetched}
-        helpers = tuple(
-            sorted(
-                [i + 1 for i in pool if i not in left]
-                + [i + 1 for i in _bits(forced_mask)]
-                + [k + 1 + t for t in T]
-            )
-        )
-        return len(helpers), helpers
+    )
+    return len(helpers), helpers
 
 
 def minimal_repair(code: SystematicCode, erased) -> RepairPlan:
@@ -425,8 +447,46 @@ def minimal_repair(code: SystematicCode, erased) -> RepairPlan:
 
     Raises UndecodableError when the pattern is not recoverable at all.
     """
-    pattern = normalize_pattern(code, erased)
-    return _RepairSearch(code).minimal_repair(pattern)
+    erased = normalize_pattern(code, erased)
+    if not erased:
+        return RepairPlan((), (), 0)
+    k, r, P = code.k, code.r, code.P.data
+    # row sets as bitmasks, bit i = data row i
+    col_mask = [sum(1 << i for i in range(k) if P[i][j]) for j in range(r)]
+    e_rows = [b - 1 for b in erased if b <= k]
+    e_pars = [b - k - 1 for b in erased if b > k]
+    surviving_parities = [j for j in range(r) if (k + 1 + j) not in erased]
+    # target part of each row: unit flags for erased data rows, then
+    # coefficients of erased parity columns
+    targets = {
+        i: [1 if i == ie else 0 for ie in e_rows] + [P[i][p] for p in e_pars]
+        for i in range(k)
+    }
+
+    best_cost = code.n + 1
+    best_set: tuple[int, ...] | None = None
+    # |T| >= number of erased data blocks is necessary
+    for t_size in range(len(e_rows), len(surviving_parities) + 1):
+        if t_size > best_cost:
+            break
+        for T in itertools.combinations(surviving_parities, t_size):
+            found = _best_for_parity_set(
+                P, col_mask, code.field, T, e_rows, e_pars, targets, best_cost + 1
+            )
+            if found is not None:
+                cost, helper_set = found
+                if cost < best_cost or (
+                    cost == best_cost
+                    and best_set is not None
+                    and helper_set < best_set
+                ):
+                    best_cost = cost
+                    best_set = helper_set
+    if best_set is None:
+        # every helper set spanning the erased columns is a plan, so
+        # the search finds none exactly when the pattern is undecodable
+        raise UndecodableError(erased)
+    return RepairPlan(erased, best_set, best_cost)
 
 
 def repair_values(
@@ -447,67 +507,6 @@ def repair_values(
                 acc ^= fld.mul(c, helper_values[b])
         out[e] = acc
     return out
-
-
-def avg_repair_bandwidth_single(code: SystematicCode) -> float:
-    """Mean minimal repair cost over all n single-block erasures."""
-    search = _RepairSearch(code)
-    total = 0
-    for b in range(1, code.n + 1):
-        total += search.minimal_repair((b,), lex_ties=False).cost
-    return total / code.n
-
-
-def _pair_costs(code: SystematicCode) -> dict[tuple[int, int], int]:
-    """Minimal joint repair cost of every decodable block pair, from the
-    flats of the parity-check columns (see the module docstring); bit b of
-    a mask stands for block b + 1."""
-    n, rho, fld = code.n, code.r - 2, code.field
-    cols = [(code.parity_check_column(b + 1), 1 << b) for b in range(n)]
-    dirs = list(proportional_classes((), cols, fld).items())
-    nonzero = 0
-    for _, mask in dirs:
-        nonzero |= mask
-    # open_[a]: the blocks b > a whose pair with a is decodable and unpriced
-    open_ = [0] * n
-    for _, mask in dirs:
-        for a in _bits(mask):
-            open_[a] = nonzero & ~mask & -(2 << a)
-    # a pair reads every nonzero column but its own and the unfetched ones
-    reads = nonzero.bit_count() - 2
-    costs = {}
-    if rho > 0 and any(open_):
-        # a mask lacking part of its flat comes after that flat, which is
-        # a mask too and has priced every pair skew to either
-        masks = _flats_above(dirs, rho, rho, fld)
-        for flat in sorted(masks, key=int.bit_count, reverse=True):
-            basis: Basis = []
-            for b in _bits(flat):
-                insert_row(basis, cols[b][0], fld)
-                if len(basis) == rho:
-                    break
-            outside = [d for d in dirs if not d[1] & flat]
-            classes = proportional_classes([v for _, v in basis], outside, fld)
-            skew_to = 0
-            for mask in classes.values():
-                skew_to |= mask
-            if skew_to != nonzero & ~flat:
-                continue  # a direction outside the mask lies in its span
-            cost = reads - flat.bit_count()
-            for mask in classes.values():
-                skew = skew_to & ~mask
-                for a in _bits(mask):
-                    hit = open_[a] & skew
-                    if hit:
-                        open_[a] ^= hit
-                        for b in _bits(hit):
-                            costs[a + 1, b + 1] = cost
-            if not any(open_):
-                break
-    for a, mask in enumerate(open_):
-        for b in _bits(mask):
-            costs[a + 1, b + 1] = reads - rho
-    return costs
 
 
 def avg_repair_bandwidth_double(code: SystematicCode) -> DoubleRepairStats:
@@ -566,24 +565,19 @@ def decodability_profile(code: SystematicCode, f_max: int) -> dict[int, float]:
     }
 
 
-def build_report(code: SystematicCode, f_max: int | None = None) -> MetricsReport:
+def build_report(code: SystematicCode) -> MetricsReport:
     """Aggregate every metric for a code: storage overhead, repair
     bandwidths, update complexity, decodability profile, distance.
 
-    The profile depth defaults to w+3, extended through r so the report can
+    The profile runs to depth w+3, extended through r so the report can
     always seed a reliability chain.
     """
     k, r, n = code.k, code.r, code.n
-    if f_max is None:
-        max_row_weight = max(
-            sum(1 for x in row if x) for row in code.P.data
-        )
-        w = (
-            code.spec.w
-            if isinstance(code, BlrcCode)
-            else max_row_weight
-        )
-        f_max = min(n, max(w + 3, r))
+    if isinstance(code, BlrcCode):
+        w = code.spec.w
+    else:
+        w = max(sum(1 for x in row if x) for row in code.P.data)
+    f_max = min(n, max(w + 3, r))
     nonzeros = sum(1 for row in code.P.data for x in row if x)
     double = avg_repair_bandwidth_double(code)
     profile = decodability_profile(code, f_max)

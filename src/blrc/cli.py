@@ -58,41 +58,32 @@ from .sharding import (
     write_shard,
 )
 
-_DATA_DIR = Path(__file__).parent / "data"
-
 
 class CliError(RuntimeError):
     pass
 
 
-def _resolve_code_path(name: str) -> Path:
-    p = Path(name)
-    if p.exists():
-        return p
-    bundled = _DATA_DIR / f"{name}.code"
-    if bundled.exists():
-        return bundled
-    raise CliError(f"code file not found: {name}")
-
-
-def _load_code(name: str):
-    path = _resolve_code_path(name)
-    try:
-        code, meta = read_code_text(path.read_text(encoding="ascii"))
-    except CodeFileError as exc:
-        raise CliError(f"{path}: {exc}") from None
-    return code, meta, path
-
-
 def _load_valid_code(name: str):
-    code, meta, path = _load_code(name)
+    """The valid code a path or bundled name stands for, and its text (what
+    shard headers digest); an existing path wins over a bundled name."""
+    path = Path(name)
+    if path.exists():
+        text = path.read_text(encoding="ascii")
+    elif name in presets.BUNDLED:
+        text = write_code_text(presets.BUNDLED[name](), {"name": name})
+    else:
+        raise CliError(f"code file not found: {name}")
+    try:
+        code, _ = read_code_text(text)
+    except CodeFileError as exc:
+        raise CliError(f"{name}: {exc}") from None
     report = validate(code.P, code.spec)
     if not report.passed:
         failed = "; ".join(
             f"{c.name}: {c.detail}" for c in report.failures()
         )
-        raise CliError(f"{path}: structural validation failed: {failed}")
-    return code, meta, path
+        raise CliError(f"{name}: structural validation failed: {failed}")
+    return code, text
 
 
 def _params_from_args(args) -> ReliabilityParams:
@@ -148,7 +139,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    code, _, _ = _load_valid_code(args.codefile)
+    code, _ = _load_valid_code(args.codefile)
     if args.fmax is not None and not 1 <= args.fmax <= code.n:
         raise CliError(f"--fmax {args.fmax} outside 1..{code.n}")
     # the chain needs the full-depth profile even when the displayed
@@ -174,7 +165,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_mttdl(args) -> int:
-    code, _, _ = _load_valid_code(args.codefile)
+    code, _ = _load_valid_code(args.codefile)
     params = _params_from_args(args)
     report = build_report(code)
     model = build_model(report, code.n, code.k, params)
@@ -191,9 +182,9 @@ def cmd_mttdl(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    code, _, path = _load_valid_code(args.codefile)
+    code, text = _load_valid_code(args.codefile)
     data = Path(args.input).read_bytes()
-    digest = code_digest(path.read_text(encoding="ascii"))
+    digest = code_digest(text)
     shards = encode_stream(code, data)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -221,10 +212,10 @@ def _shard_stem(directory: Path, stem: str | None) -> str:
     return stems.pop()
 
 
-def _common_header(code_path: Path, headers) -> ShardHeader:
+def _common_header(code_text: str, headers) -> ShardHeader:
     """The one header every shard shares but for its index; refuses shards
     of another code file and headers that disagree on stripes or length."""
-    own = code_digest(code_path.read_text(encoding="ascii"))
+    own = code_digest(code_text)
     foreign = sorted({h.code_digest for h in headers} - {own})
     if foreign:
         raise CliError(
@@ -237,7 +228,7 @@ def _common_header(code_path: Path, headers) -> ShardHeader:
 
 
 def cmd_decode(args) -> int:
-    code, _, path = _load_valid_code(args.codefile)
+    code, text = _load_valid_code(args.codefile)
     directory = Path(args.shards)
     stem = _shard_stem(directory, args.stem)
     paths = sorted(directory.glob(f"{stem}.s[0-9][0-9]"))
@@ -251,7 +242,7 @@ def cmd_decode(args) -> int:
             raise CliError(f"{p}: shard index {header.index} out of range")
         shards[header.index] = payload
         headers.append(header)
-    data_length = _common_header(path, headers).data_length
+    data_length = _common_header(text, headers).data_length
     data = decode_stream(code, shards, data_length)
     Path(args.out).write_bytes(data)
     missing = [b for b in range(1, code.n + 1) if b not in shards]
@@ -263,7 +254,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_repair(args) -> int:
-    code, _, path = _load_valid_code(args.codefile)
+    code, text = _load_valid_code(args.codefile)
     directory = Path(args.shards)
     stem = _shard_stem(directory, args.stem)
     missing = [
@@ -288,7 +279,7 @@ def cmd_repair(args) -> int:
             raise CliError(f"{p}: header says shard {header.index}")
         helper_payloads[b] = payload
         headers.append(header)
-    common = _common_header(path, headers)
+    common = _common_header(text, headers)
     repaired = repair_stream(code, plan, helper_payloads)
     out_dir = Path(args.out_dir) if args.out_dir else directory
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -183,16 +183,19 @@ def build_model(
     n: int,
     k: int,
     params: ReliabilityParams,
-    b1: float | None = None,
-    b2: float | None = None,
-    b_bulk: float | None = None,
 ) -> MarkovModel:
     """Derive the failure/repair chain of one stripe from a metrics report.
 
-    Repair transfer sizes default to the report's single and double repair
-    bandwidths, with k blocks for deeper repairs.  The chain ends at the
-    first failure count whose next failure can never be decoded.
+    Repairs transfer the report's single and double repair bandwidths, and
+    k blocks for deeper repairs.  The chain ends at the first failure count
+    whose next failure can never be decoded.  Raises ParamsError when the
+    stripe needs more nodes than the cluster has, or when a rate overflows.
     """
+    if n > params.nodes:
+        raise ParamsError(
+            f"a stripe of {n} blocks needs {n} distinct nodes;"
+            f" N is {params.nodes}"
+        )
     r = n - k
     profile = dict(report.decodability)
     prev = 1.0
@@ -210,10 +213,7 @@ def build_model(
             f"profile ends before p_{f} while states remain reachable"
         )
 
-    b1 = report.avg_repair_single if b1 is None else b1
-    b2 = report.avg_repair_double if b2 is None else b2
-    b_bulk = float(k) if b_bulk is None else b_bulk
-
+    b1, b2 = report.avg_repair_single, report.avg_repair_double
     f_last = 0
     while f_last < r and p(f_last + 1) > 0.0:
         f_last += 1
@@ -226,8 +226,13 @@ def build_model(
         pf_next = p(f + 1) if f < f_last else 0.0
         births.append(fail_rate * pf_next)
         kills.append(fail_rate * (1.0 - pf_next))
-        size = b1 if f == 1 else (b2 if f == 2 else b_bulk)
+        size = b1 if f == 1 else (b2 if f == 2 else float(k))
         repairs.append(bw_day / (size * params.block_bytes) if f else 0.0)
+    if not all(math.isfinite(x) for x in births + repairs + kills):
+        raise ParamsError(
+            "failure and repair rates overflow; mttf, B or gamma is too"
+            " extreme"
+        )
 
     model = MarkovModel(tuple(births), tuple(repairs), tuple(kills))
     model.check()

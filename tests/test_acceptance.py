@@ -31,6 +31,7 @@ import math
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -85,8 +86,8 @@ from util_supports import (
 UNITS = "decimal"  # the convention under which the MTTDL figures reproduce
 
 
-def _system_mttdl(report, n, k, params, **transfers):
-    model = build_model(report, n, k, params, **transfers)
+def _system_mttdl(report, n, k, params):
+    model = build_model(report, n, k, params)
     return mttdl_system(mttdl_stripe(model), n, params)
 
 
@@ -362,7 +363,12 @@ def test_criterion_05_mttdl_16_10_w3():
     assert {f: round(report.decodability[f], 4) for f in (4, 5, 6)} == {
         4: 0.9945, 5: 0.9602, 6: 0.7966
     }
-    quoted = _system_mttdl(report, 16, 10, params, b1=5.0, b2=7.0)
+    quoted = _system_mttdl(
+        replace(report, avg_repair_single=5.0, avg_repair_double=7.0),
+        16,
+        10,
+        params,
+    )
     assert quoted == pytest.approx(5.7378e14, rel=0.05)
     own = _system_mttdl(report, 16, 10, params)
     assert own < quoted

@@ -10,7 +10,7 @@ from blrc.analysis import (
     _bits,
     _flats_above,
     _pair_costs,
-    _RepairSearch,
+    _single_costs,
     avg_repair_bandwidth_double,
     avg_repair_bandwidth_single,
     build_report,
@@ -124,29 +124,6 @@ def test_dense_global_pair_plans_match_oracle():
         assert (plan.cost, plan.helpers) == (cost, tuple(sorted(helpers)))
 
 
-def test_shared_search_tables_do_not_leak_between_patterns(code_16_10_w3):
-    # one search answers every single and pair and some triples,
-    # interleaved, in both tie modes with the parity-set tables the earlier
-    # patterns left behind; a fresh search has none
-    rng = random.Random(11)
-    for code in (code_16_10_w3, dense_global_code(5)):
-        shared = _RepairSearch(code)
-        blocks = range(1, code.n + 1)
-        patterns = [(b,) for b in blocks]
-        patterns += list(itertools.combinations(blocks, 2))
-        patterns += rng.sample(list(itertools.combinations(blocks, 3)), 20)
-        rng.shuffle(patterns)
-        for lex_ties in (True, False):
-            for pattern in patterns:
-                try:
-                    fresh = _RepairSearch(code).minimal_repair(pattern, lex_ties)
-                except UndecodableError:
-                    with pytest.raises(UndecodableError):
-                        shared.minimal_repair(pattern, lex_ties)
-                    continue
-                assert shared.minimal_repair(pattern, lex_ties) == fresh, pattern
-
-
 def _submasks(mask: int):
     sub = mask
     while True:
@@ -196,23 +173,19 @@ def test_flats_hold_every_low_rank_row_set():
 
 
 def _check_against_oracle(code, patterns):
-    search = _RepairSearch(code)
     for pattern in patterns:
         expected = minimal_repair_all_subsets(code, pattern)
-        for lex_ties in (True, False):
-            if expected is None:
-                with pytest.raises(UndecodableError):
-                    search.minimal_repair(pattern, lex_ties)
-                continue
-            plan = search.minimal_repair(pattern, lex_ties)
-            assert plan.cost == expected[0], (pattern, lex_ties)
-            if lex_ties:
-                assert plan.helpers == expected[1], pattern
+        if expected is None:
+            with pytest.raises(UndecodableError):
+                minimal_repair(code, pattern)
+            continue
+        plan = minimal_repair(code, pattern)
+        assert (plan.cost, plan.helpers) == expected, pattern
 
 
 def test_dense_global_pairs_and_triples_match_oracle():
-    # four dense global parities give parity sets with kappa 3; in both
-    # tie modes the search's plans are the all-subsets oracle's
+    # four dense global parities give parity sets with kappa 3; the
+    # search's plans are the all-subsets oracle's
     code = dense_global_code(28)
     blocks = range(1, code.n + 1)
     rng = random.Random(8)
@@ -281,10 +254,16 @@ def test_small_alphabet_codes_match_oracle():
         _check_against_oracle(code, patterns + triples)
 
 
+def zero_column_code() -> SystematicCode:
+    """[5, 3]: data block 2 is in no parity's support."""
+    return SystematicCode(GfMatrix([[1, 1], [0, 0], [1, 2]], GF256))
+
+
 def test_pair_costs_match_repair_search():
     # the flats of the parity-check columns and the parity-set search are
-    # independent ways of pricing a pair; they agree on every pair, and a
-    # pair the flats leave unpriced is one the search finds undecodable
+    # independent ways of pricing a single or a pair; they agree on every
+    # one, and one the flats leave unpriced is one the search finds
+    # undecodable
     codes = [dense_global_code(5), dense_global_code(28)]
     codes += [code for code, _ in small_alphabet_codes()]
     codes += [proportional_rows_code(), tied_halves_code()]
@@ -294,21 +273,34 @@ def test_pair_costs_match_repair_search():
             code = random_valid_code(rng, n, k, w, GF256)
             assert code is not None
             codes.append(code)
+    assert len(codes) == 26
+    codes.append(zero_column_code())
     for code in codes:
-        costs = _pair_costs(code)
-        search = _RepairSearch(code)
-        for pair in itertools.combinations(range(1, code.n + 1), 2):
+        blocks = range(1, code.n + 1)
+        plans = {}
+        for pattern in [(b,) for b in blocks] + list(
+            itertools.combinations(blocks, 2)
+        ):
             try:
-                cost = search.minimal_repair(pair, lex_ties=False).cost
+                plans[pattern] = minimal_repair(code, pattern).cost
             except UndecodableError:
-                cost = None
-            assert costs.get(pair) == cost, pair
+                pass
+        lost = [b for b in blocks if (b,) not in plans]
+        if lost:
+            # a zero column: the flats refuse the first such block
+            with pytest.raises(UndecodableError) as exc:
+                _single_costs(code)
+            assert exc.value.pattern == (lost[0],)
+        else:
+            assert _single_costs(code) == [plans[b,] for b in blocks]
+        pairs = {p: c for p, c in plans.items() if len(p) == 2}
+        assert _pair_costs(code) == pairs
 
 
 def test_zero_parity_check_column_pairs_are_undecodable():
     # data block 2 is in no parity's support: every pair holding it is
     # lost, and the other pairs leave it unfetched
-    code = SystematicCode(GfMatrix([[1, 1], [0, 0], [1, 2]], GF256))
+    code = zero_column_code()
     assert avg_repair_bandwidth_double(code) == DoubleRepairStats(2.0, 6, 4)
     costs = _pair_costs(code)
     for pair in itertools.combinations(range(1, code.n + 1), 2):
@@ -316,19 +308,12 @@ def test_zero_parity_check_column_pairs_are_undecodable():
         assert costs.get(pair) == (expected and expected[0]), pair
 
 
-def test_parity_pair_plans_match_oracle(code_16_10_w3):
+def test_parity_pair_plans_match_oracle():
     # patterns erasing only parities (the small-alphabet codes' parity
-    # pairs are among the pairs of the test above), asked twice of one
-    # search and once of a fresh one
+    # pairs are among the pairs of the test above)
     code = dense_global_code(28)
     parities = range(code.k + 1, code.n + 1)
     _check_against_oracle(code, list(itertools.combinations(parities, 2)))
-
-    for code in (code, code_16_10_w3):
-        shared = _RepairSearch(code)
-        pairs = list(itertools.combinations(range(code.k + 1, code.n + 1), 2))
-        for pair in pairs + pairs:
-            assert shared.minimal_repair(pair) == minimal_repair(code, pair)
 
 
 def test_plan_replay_reproduces_erased_blocks(code_15_10):
@@ -500,7 +485,5 @@ def test_long_code_double_averages():
         )
         if n == 26:
             costs = _pair_costs(code)
-            search = _RepairSearch(code)
             for pair in random.Random(26).sample(sorted(costs), 24):
-                plan = search.minimal_repair(pair, lex_ties=False)
-                assert plan.cost == costs[pair], pair
+                assert minimal_repair(code, pair).cost == costs[pair], pair

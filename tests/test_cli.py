@@ -6,7 +6,16 @@ from blrc import analysis, cli
 from blrc.cli import main
 from blrc.code import validate
 from blrc.codefile import read_code_text, write_code_text
-from blrc.presets import blrc_15_10_w3
+from blrc.presets import BUNDLED, blrc_15_10_w3
+from blrc.sharding import read_shard
+
+# sha256 of each bundled code's text, which every shard header carries:
+# shards encoded under these names decode only while the digests stay put
+BUNDLED_DIGESTS = {
+    "blrc-15-10-w3": "d544cfa6e96fb788188fa4f5998612b5e24023caf293772de3f16625684190d4",
+    "blrc-16-10-w3": "75b1fdb1554898f5d7039ec6e57bdb73d88e4dd2522016634096b4a6fc279d18",
+    "blrc-16-10-w2": "f8d737a48759040959ef9f612fd1da112f9fc5c28f69a675faffb803c9f43ebb",
+}
 
 
 @pytest.fixture()
@@ -105,6 +114,25 @@ def test_missing_code_file(capsys):
     assert "not found" in err
 
 
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_bundled_names_keep_their_digests(capsys, tmp_path, name):
+    src = tmp_path / "a.bin"
+    src.write_bytes(b"hello world" * 10)
+    shard_dir = tmp_path / "shards"
+    rc, *_ = run(capsys, "encode", name, str(src), "--out-dir", str(shard_dir))
+    assert rc == 0
+    header, _ = read_shard(shard_dir / "a.bin.s01")
+    assert header.code_digest == BUNDLED_DIGESTS[name]
+
+
+def test_existing_path_wins_over_bundled_name(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "blrc-15-10-w3").write_text("not a code file\n")
+    rc, _, err = run(capsys, "analyze", "blrc-15-10-w3")
+    assert rc == 1
+    assert err.startswith("error: blrc-15-10-w3:")
+
+
 @pytest.mark.parametrize(
     "line, named",
     [
@@ -113,6 +141,9 @@ def test_missing_code_file(capsys):
         ("mttf forever", "mttf:"),
         ("mttf nan", "mttf_days"),
         ("gamma inf", "repair_bandwidth_bps"),
+        ("mttf 1e-320d", "overflow"),
+        ("B 1e-320B", "overflow"),
+        ("N 10", "15 distinct nodes"),
     ],
 )
 def test_mttdl_rejects_bad_parameter_values(

@@ -110,6 +110,14 @@ def test_mds_like_profile_has_no_f_states():
     assert not any(model.kills[:-1]) and model.kills[-1] > 0
 
 
+def test_stripe_needs_n_distinct_nodes(code_15_10):
+    report = build_report(code_15_10)
+    params = ReliabilityParams.defaults()
+    build_model(report, 15, 10, replace(params, nodes=15))
+    with pytest.raises(ParamsError, match="15 distinct nodes"):
+        build_model(report, 15, 10, replace(params, nodes=14))
+
+
 def test_increasing_profile_rejected():
     report = MetricsReport(
         storage_overhead=0.5,
@@ -257,8 +265,9 @@ def test_published_table_reconciliation(code_16_10_w3):
     divergence to the bandwidth figure, not the chain."""
     report = build_report(code_16_10_w3)
     params = ReliabilityParams.defaults()
+    quoted = replace(report, avg_repair_single=5.0, avg_repair_double=7.0)
     with_published_b2 = mttdl_system(
-        mttdl_stripe(build_model(report, 16, 10, params, b2=7.0)), 16, params
+        mttdl_stripe(build_model(quoted, 16, 10, params)), 16, params
     )
     assert with_published_b2 == pytest.approx(5.7378e14, rel=0.05)
     own = mttdl_system(

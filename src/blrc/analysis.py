@@ -37,6 +37,18 @@ column outside a hyperplane is skew to it (the quotient is a line), and a
 pair from two different classes is skew to a flat of rank r - 2.  So each
 block or pair is priced at the first flat it is skew to.
 
+The decodability census counts the undecodable f-subsets, those with
+dependent parity-check columns, as comb(n, f) less the independent ones.
+linalg.independent_prefixes lists the independent column sets in
+lexicographic order, each with the later columns split into proportional
+classes modulo its span: adding a column from one class reduces the others
+by that class's direction alone.  The classes of a set S count the next
+two sizes without field arithmetic: S + b is independent when b lies in
+a class, and S + b + c when b and c lie in two different classes.  So the
+walk stops two columns short of the largest size counted.
+minimum_distance and the rank condition read their first dependent
+subsets from the same walk.
+
 Plans stay primal.  minimal_repair answers one pattern with a plan: the
 smallest set of surviving blocks whose generator columns span the columns
 of every erased block, with ties broken toward the lexicographically
@@ -85,6 +97,7 @@ from .linalg import (
     Basis,
     LogBasis,
     echelon_insert,
+    independent_prefixes,
     insert_row,
     proportional_classes,
 )
@@ -523,12 +536,11 @@ def avg_repair_bandwidth_double(code: SystematicCode) -> DoubleRepairStats:
 
 
 def undecodable_counts(code: SystematicCode, f_max: int) -> dict[int, int]:
-    """Number of undecodable f-subsets for every f in 1..f_max, by a DFS
-    over parity-check column prefixes.
+    """Number of undecodable f-subsets for every f in 1..f_max.
 
     A pattern is undecodable exactly when its parity-check columns are
-    dependent; the DFS charges each such pattern to its shortest dependent
-    prefix, so every pattern is counted once.
+    dependent.  More than r columns always are; below that, the quotient
+    walk counts the independent sets (see the module docstring).
     """
     n, r = code.n, code.r
     counts = {f: 0 for f in range(1, f_max + 1)}
@@ -537,20 +549,23 @@ def undecodable_counts(code: SystematicCode, f_max: int) -> dict[int, int]:
     depth_cap = min(f_max, r)
     if depth_cap == 0:
         return counts
-    fld = code.field
-    hcols = [None] + [code.parity_check_column(b) for b in range(1, n + 1)]
-
-    def dfs(start: int, basis: Basis, depth: int):
-        for b in range(start, n + 1):
-            if insert_row(basis, hcols[b], fld) is None:
-                for f in range(depth + 1, depth_cap + 1):
-                    counts[f] += math.comb(n - b, f - depth - 1)
-            else:
-                if depth + 1 < depth_cap:
-                    dfs(b + 1, basis, depth + 1)
-                basis.pop()
-
-    dfs(1, [], 0)
+    hcols = [code.parity_check_column(b) for b in range(1, n + 1)]
+    # independent[f]: the independent f-subsets
+    independent = [0] * (depth_cap + 1)
+    longest = max(depth_cap - 2, 0)
+    for prefix, _, classes in independent_prefixes(hcols, longest, code.field):
+        depth = len(prefix)
+        independent[depth] += 1
+        if depth == longest:
+            sizes = [mask.bit_count() for mask in classes.values()]
+            live = sum(sizes)
+            independent[depth + 1] += live
+            if depth + 2 == depth_cap:
+                # pairs of later columns from two different classes
+                squares = sum(size * size for size in sizes)
+                independent[depth + 2] += (live * live - squares) // 2
+    for f in range(1, depth_cap + 1):
+        counts[f] = math.comb(n, f) - independent[f]
     return counts
 
 

@@ -27,7 +27,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .gf import GF256, FieldSpec
-from .linalg import Basis, GfMatrix, insert_row, span_coefficients
+from .linalg import (
+    Basis,
+    GfMatrix,
+    independent_prefixes,
+    insert_row,
+    span_coefficients,
+)
 
 SupportPattern = tuple[tuple[int, ...], ...]
 """Per-row sorted tuples of 0-based parity-column indices (the nonzero
@@ -182,26 +188,39 @@ def support_of(P: GfMatrix) -> SupportPattern:
 def _first_dependent_subset(
     P: GfMatrix, max_size: int
 ) -> tuple[int, ...] | None:
-    """Lexicographic DFS over row subsets of size <= max_size; returns the
-    first subset whose rows are dependent, or None.
+    """The lexicographically first subset of at most max_size rows of P
+    whose rows are dependent, or None.
 
-    Only independent prefixes are extended, which suffices: every minimal
-    dependent subset has all proper prefixes independent.
+    Every proper prefix of that subset is independent, so the quotient
+    walk over independent prefixes (linalg.independent_prefixes) reaches
+    the subset less its last row or, two rows short of max_size, less its
+    last two.  A prefix S offers S + (d,) for its first dead row d.  The
+    deepest ones also offer S + (b, c) for each class: b its first row
+    and c the first dead or same-class row after b.  Prefixes come in
+    lexicographic order, so the walk stops at the first one past the best
+    offer.
     """
-    k = P.rows
-
-    def dfs(start: int, basis, chosen: tuple[int, ...]) -> tuple[int, ...] | None:
-        for i in range(start, k):
-            if insert_row(basis, P.data[i], P.field) is None:
-                return chosen + (i,)
-            if len(chosen) + 1 < max_size:
-                hit = dfs(i + 1, basis, chosen + (i,))
-                if hit is not None:
-                    return hit
-            basis.pop()
-        return None
-
-    return dfs(0, [], ())
+    longest = max(max_size - 2, 0)
+    best = None
+    for prefix, dead, classes in independent_prefixes(P.data, longest, P.field):
+        if best is not None and prefix > best:
+            break
+        offers = []
+        if dead:
+            offers.append(((dead & -dead).bit_length() - 1,))
+        if len(prefix) + 2 == max_size:
+            for mask in classes.values():
+                low = mask & -mask
+                rest = (dead | mask) & -(low << 1)
+                if rest:
+                    offers.append(
+                        (low.bit_length() - 1, (rest & -rest).bit_length() - 1)
+                    )
+        if offers:
+            offer = prefix + min(offers)
+            if best is None or offer < best:
+                best = offer
+    return best
 
 
 def validate(P: GfMatrix, spec: CodeSpec) -> ValidationReport:
@@ -418,7 +437,7 @@ def gopalan_bound(n: int, k: int, l: int) -> int:
 def minimum_distance(code: SystematicCode) -> int:
     """Verified minimum distance: the smallest f for which some f blocks
     have dependent parity-check columns (an undecodable erasure pattern),
-    by a depth-first search with depth 1, 2, ...
+    asking the quotient walk of _first_dependent_subset for f = 1, 2, ...
 
     For balanced LRCs the result is cross-checked against the locality
     distance bound.

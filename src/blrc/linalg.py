@@ -1,6 +1,7 @@
 """Dense matrices over GF(2^m): rank, solving, column-span membership, an
-echelon basis that grows one row at a time, and two kernels for the hot
-loops of the repair search.
+echelon basis that grows one row at a time, two kernels for the hot loops
+of the repair search, and a walk over the independent subsets of a vector
+list.
 
 Everything here is exact Gaussian elimination with first-nonzero pivoting.
 Matrices in this package never exceed a few dozen rows, so no attention is
@@ -16,11 +17,17 @@ nonzero entries held as (column, log) pairs scaled to a leading 1:
   * echelon_insert is insert_row for a LogBasis that only ever holds rows
     leading before a bound, so a depth-first search over row sets never
     stores, and never pops, a row it rejects.
+
+independent_prefixes walks the independent increasing position tuples of
+a vector list in the quotient: each tuple carries the later vectors as
+proportional classes modulo its span, so growing it by one vector reduces
+every class by that one direction.  The decodability census, the minimum
+distance and the rank condition all read their dependent subsets from it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from .gf import FieldMismatchError, FieldSpec
 
@@ -255,6 +262,80 @@ def proportional_classes(
         key = tuple([exp[log[y] + inv] if y else 0 for y in vec])
         classes[key] = classes.get(key, 0) | rows
     return classes
+
+
+def independent_prefixes(
+    vectors: Sequence[Sequence[int]], longest: int, field: FieldSpec
+) -> Iterator[tuple[tuple[int, ...], int, dict[tuple[int, ...], int]]]:
+    """Yield (prefix, dead, classes) for every independent increasing
+    tuple of at most longest positions of vectors, in lexicographic order
+    (a tuple before its extensions).
+
+    dead masks the later positions whose vectors lie in the prefix's span.
+    classes maps each proportional class of the other later vectors modulo
+    that span to its mask, keyed by the class's residual scaled to 1 at
+    its first nonzero entry.  Adding position b of class C kills
+    (dead | C) past b.  Modulo the old span the new one adds only C's
+    direction, so reducing every other key by it alone gives the new
+    classes.  A key that is zero at the pivot of C's stays as it is, and
+    each key's (pivot, log pairs) form is built once per walk.
+
+    The classes answer the next two lengths without field arithmetic:
+    prefix + (b,) is independent when b lies in a class, and
+    prefix + (b, c) when b < c lie in two different classes.
+    """
+    exp, log = field._exp, field._log
+    q1 = field.order - 1
+    reducers: dict[tuple[int, ...], tuple[int, list[tuple[int, int]]]] = {}
+
+    def expand(prefix, dead, classes):
+        yield prefix, dead, classes
+        if len(prefix) == longest:
+            return
+        live = 0
+        for mask in classes.values():
+            live |= mask
+        while live:
+            low = live & -live
+            live ^= low
+            for own, own_mask in classes.items():
+                if own_mask & low:
+                    break
+            form = reducers.get(own)
+            if form is None:
+                pivot = next(j for j, x in enumerate(own) if x)
+                pairs = [(j, log[y]) for j, y in enumerate(own) if y and j > pivot]
+                form = reducers[own] = (pivot, pairs)
+            pivot, pairs = form
+            above = -(low << 1)
+            child: dict[tuple[int, ...], int] = {}
+            for key, mask in classes.items():
+                mask &= above
+                if not mask or key is own:  # own is this dict's key object
+                    continue
+                a = key[pivot]
+                if a:
+                    v = list(key)
+                    s = log[a]
+                    v[pivot] = 0
+                    for j, b in pairs:
+                        v[j] ^= exp[b + s]
+                    for x in v:  # v is not zero: its class is not C
+                        if x:
+                            break
+                    inv = q1 - log[x]
+                    key = tuple([exp[log[y] + inv] if y else 0 for y in v])
+                child[key] = child.get(key, 0) | mask
+            yield from expand(
+                prefix + (low.bit_length() - 1,), (dead | own_mask) & above, child
+            )
+
+    dead = 0
+    for b, v in enumerate(vectors):
+        if not any(v):
+            dead |= 1 << b
+    items = [(v, 1 << b) for b, v in enumerate(vectors)]
+    yield from expand((), dead, proportional_classes((), items, field))
 
 
 def rank(M: GfMatrix) -> int:

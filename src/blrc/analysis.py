@@ -27,15 +27,24 @@ Each row j of H bounds the single costs.  Two lines prove the bound:
 
 So a block starts at the largest such flat among the rows covering it,
 and a pair whose columns are independent at r - 2 columns: a flat of rank
-r - 2 holds more only when it is dependent.  One _flats_above call lists
-every flat of that rank holding more columns than the smallest start,
-some of them partly (a flat found from a later direction lacks its
-earlier ones).  _closed_flats walks them largest first, skipping a mask
-whose closure is larger, because that closure came earlier.  The columns
-outside a flat split into proportional classes modulo its span: every
-column outside a hyperplane is skew to it (the quotient is a line), and a
-pair from two different classes is skew to a flat of rank r - 2.  So each
-block or pair is priced at the first flat it is skew to.
+r - 2 holds more only when it is dependent.  One linalg.flats_above walk
+lists every flat of that rank holding more columns than the smallest
+start, each with an echelon basis of its span, some of them partly (a
+flat found from a later direction lacks its earlier ones).  _closed_flats
+walks them largest first and tells the closed ones by containment alone:
+
+  * a partial mask M lies inside cl(M), a flat of the same rank with more
+    columns, so cl(M) is listed and sorts before M;
+  * two closed flats of one rank never nest, so no closed flat lies inside
+    an earlier one.
+
+So a mask is skipped exactly when it lies inside a flat already walked,
+with no field arithmetic.  The columns outside a flat split into
+proportional classes modulo its span: every column outside a hyperplane
+is skew to it (the quotient is a line), and a pair from two different
+classes is skew to a flat of rank r - 2.  So each block or pair is priced
+at the first flat it is skew to; only the pairs need the classes, which
+come from the basis the walk carries.
 
 The decodability census counts the undecodable f-subsets, those with
 dependent parity-check columns, as comb(n, f) less the independent ones.
@@ -94,11 +103,10 @@ from .code import (
     update_complexity,
 )
 from .linalg import (
-    Basis,
     LogBasis,
     echelon_insert,
+    flats_above,
     independent_prefixes,
-    insert_row,
     proportional_classes,
 )
 
@@ -162,65 +170,43 @@ def normalize_pattern(code: SystematicCode, erased) -> ErasurePattern:
     return pattern
 
 
-def _flats_above(dirs, kappa: int, need: int, field) -> list[int]:
-    """Column masks of kappa-flats of dirs, (direction, column mask) pairs
-    of pairwise independent directions, that hold more than need columns.
+def _closed_flats(dirs, kappa: int, need: int, field):
+    """(mask, basis) of every closed kappa-flat of dirs holding more than
+    need columns, largest first, with basis its span in echelon order.
 
-    A flat is found from its first direction d: the residuals of the later
-    directions modulo d, split into proportional classes, are the
-    directions of the quotient by d, and the flat is d with the columns of
-    a (kappa - 1)-flat of that quotient.  Lines are the base case.  The
-    residuals have zeros where d leads, so the quotient's own residuals
-    need only its own direction to reduce by.  Every mask spans kappa
-    dimensions.  When dirs span at least kappa dimensions, every set of
-    more than need columns spanning at most kappa of them lies in a
-    returned mask; so every flat of kappa dimensions with more than need
-    columns is itself one, though a mask found from a later direction than
-    its flat's first one lacks the earlier directions.
+    A mask is skipped when it lies inside a flat already yielded, which
+    is exactly when flats_above listed it without part of its flat: the
+    closure of a partial mask M is a kappa-flat with more columns than M,
+    so it is listed and sorts before M; and two closed kappa-flats never
+    nest, so no closed flat lies inside an earlier one.  The flats holding
+    a mask are the AND of its columns' bitsets of yielded flats.
     """
-    if kappa == 1:
-        return [cols for _, cols in dirs if cols.bit_count() > need]
-    out = []
-    left = sum(cols.bit_count() for _, cols in dirs)
-    for j, (d, cols) in enumerate(dirs):
-        if left <= need or len(dirs) - j < kappa:
-            break  # a later flat holds too few columns or directions
-        count = cols.bit_count()
-        left -= count
-        quotient = proportional_classes((d,), dirs[j + 1 :], field)
-        out.extend(
-            cols | f
-            for f in _flats_above(
-                list(quotient.items()), kappa - 1, need - count, field
-            )
-        )
-    return out
-
-
-def _closed_flats(dirs, cols, kappa: int, need: int, field):
-    """(mask, classes) of every closed kappa-flat of dirs holding more than
-    need columns, largest first; cols[b] is the column of bit b.  classes
-    splits the columns outside the flat into proportional classes modulo
-    its span.  A mask _flats_above returns without part of its flat is not
-    closed: a direction outside it lies in its span, and is skipped.
-    """
-    nonzero = 0
-    for _, mask in dirs:
-        nonzero |= mask
-    masks = _flats_above(dirs, kappa, need, field)
-    for flat in sorted(masks, key=int.bit_count, reverse=True):
-        basis: Basis = []
-        for b in _bits(flat):
-            insert_row(basis, cols[b], field)
-            if len(basis) == kappa:
+    listed = flats_above(dirs, kappa, need, field)
+    listed.sort(key=lambda item: item[0].bit_count(), reverse=True)
+    # holders[b]: bit i is set when the i-th flat yielded holds column b
+    holders = [0] * max((mask.bit_length() for _, mask in dirs), default=0)
+    walked = 0
+    for flat, basis in listed:
+        columns = _bits(flat)
+        inside = -1  # the yielded flats holding every column seen so far
+        for b in columns:
+            inside &= holders[b]
+            if not inside:
                 break
-        outside = [d for d in dirs if not d[1] & flat]
-        classes = proportional_classes([v for _, v in basis], outside, field)
-        skew_to = 0
-        for mask in classes.values():
-            skew_to |= mask
-        if skew_to == nonzero & ~flat:
-            yield flat, list(classes.values())
+        else:
+            continue  # a partial mask
+        bit = 1 << walked
+        walked += 1
+        for b in columns:
+            holders[b] |= bit
+        yield flat, basis
+
+
+def _outside_classes(dirs, flat: int, basis, field) -> list[int]:
+    """Column masks of the proportional classes, modulo the span of basis,
+    of the directions outside flat, in order of first appearance."""
+    outside = [d for d in dirs if not d[1] & flat]
+    return list(proportional_classes(basis, outside, field).values())
 
 
 def _directions(code: SystematicCode):
@@ -248,7 +234,7 @@ def _single_costs(code: SystematicCode) -> list[int]:
             held[b] = max(held[b], n - len(covered))
     if r > 1:
         open_ = (1 << n) - 1
-        for flat, _ in _closed_flats(dirs, cols, r - 1, min(held), code.field):
+        for flat, _ in _closed_flats(dirs, r - 1, min(held), code.field):
             size = flat.bit_count()
             for b in _bits(open_ & ~flat):
                 held[b] = max(held[b], size)
@@ -267,7 +253,7 @@ def _pair_costs(code: SystematicCode) -> dict[tuple[int, int], int]:
     """Minimal joint repair cost of every decodable block pair, from the
     flats of the parity-check columns (see the module docstring)."""
     n, rho = code.n, code.r - 2
-    cols, dirs = _directions(code)
+    _, dirs = _directions(code)
     nonzero = 0
     for _, mask in dirs:
         nonzero |= mask
@@ -280,10 +266,10 @@ def _pair_costs(code: SystematicCode) -> dict[tuple[int, int], int]:
     reads = nonzero.bit_count() - 2
     costs = {}
     if rho > 0 and any(open_):
-        for flat, classes in _closed_flats(dirs, cols, rho, rho, code.field):
+        for flat, basis in _closed_flats(dirs, rho, rho, code.field):
             cost = reads - flat.bit_count()
             skew_to = nonzero & ~flat
-            for mask in classes:
+            for mask in _outside_classes(dirs, flat, basis, code.field):
                 skew = skew_to & ~mask
                 for a in _bits(mask):
                     hit = open_[a] & skew

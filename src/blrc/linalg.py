@@ -1,7 +1,7 @@
 """Dense matrices over GF(2^m): rank, solving, column-span membership, an
 echelon basis that grows one row at a time, two kernels for the hot loops
-of the repair search, and a walk over the independent subsets of a vector
-list.
+of the repair search, and two walks in the quotient: over the independent
+subsets of a vector list, and over the flats of a direction list.
 
 Everything here is exact Gaussian elimination with first-nonzero pivoting.
 Matrices in this package never exceed a few dozen rows, so no attention is
@@ -12,7 +12,7 @@ The two kernels run a whole loop in one call, with each reducing row's
 nonzero entries held as (column, log) pairs scaled to a leading 1:
 
   * proportional_classes reduces many vectors modulo a span and groups
-    the residuals by proportionality (the flats of the parity-check
+    the residuals by proportionality (the directions of the parity-check
     columns, and the classes outside each flat);
   * echelon_insert is insert_row for a LogBasis that only ever holds rows
     leading before a bound, so a depth-first search over row sets never
@@ -23,6 +23,13 @@ a vector list in the quotient: each tuple carries the later vectors as
 proportional classes modulo its span, so growing it by one vector reduces
 every class by that one direction.  The decodability census, the minimum
 distance and the rank condition all read their dependent subsets from it.
+
+flats_above is the same walk over the directions of the parity-check
+columns, for the repair averages: a flat found from its first direction
+is that direction with a flat of the quotient by it, so it reduces only
+the classes that are nonzero at the new direction's pivot, and it hands
+back each flat with the directions it chose, an echelon basis of its
+span.
 """
 
 from __future__ import annotations
@@ -336,6 +343,87 @@ def independent_prefixes(
             dead |= 1 << b
     items = [(v, 1 << b) for b, v in enumerate(vectors)]
     yield from expand((), dead, proportional_classes((), items, field))
+
+
+def flats_above(
+    dirs: Sequence[tuple[tuple[int, ...], int]], kappa: int, need: int, field: FieldSpec
+) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """(mask, basis) of kappa-flats of dirs that hold more than need
+    columns.  dirs are (direction, column mask) pairs of pairwise
+    independent directions, each scaled to 1 at its first nonzero entry,
+    as proportional_classes keys them.
+
+    A flat is found from its first direction d: the residuals of the later
+    directions modulo d, split into proportional classes, are the
+    directions of the quotient by d, and the flat is d with the columns of
+    a (kappa - 1)-flat of that quotient.  Every mask spans kappa
+    dimensions, and basis is the chosen directions as residuals, each zero
+    at the first nonzero entry of every earlier one, so the flat's span in
+    echelon order.  When dirs span at least kappa dimensions, every set of
+    more than need columns spanning at most kappa of them lies in a
+    returned mask; so every flat of kappa dimensions with more than need
+    columns is itself one, though a mask found from a later direction than
+    its flat's first one lacks the earlier directions.  Masks come in walk
+    order: by first direction, then by the quotient's own order.
+
+    The walk is independent_prefixes' over directions: a class whose key
+    is zero at the new direction's pivot is already its residual and keeps
+    its key, each direction's (pivot, log pairs) form is built once per
+    walk, and the lines of the last level are read off without recursing.
+    """
+    exp, log = field._exp, field._log
+    q1 = field.order - 1
+    if kappa == 1:
+        return [(cols, (d,)) for d, cols in dirs if cols.bit_count() > need]
+    forms: dict[tuple[int, ...], tuple[int, list[tuple[int, int]]]] = {}
+    out: list[tuple[int, tuple[tuple[int, ...], ...]]] = []
+
+    def walk(dirs, kappa, need, held, basis):
+        left = 0
+        for _, cols in dirs:
+            left += cols.bit_count()
+        for j, (d, cols) in enumerate(dirs):
+            if left <= need or len(dirs) - j < kappa:
+                break  # a later flat holds too few columns or directions
+            count = cols.bit_count()
+            left -= count
+            form = forms.get(d)
+            if form is None:
+                pivot = next(i for i, x in enumerate(d) if x)
+                pairs = [(i, log[y]) for i, y in enumerate(d) if y and i > pivot]
+                form = forms[d] = (pivot, pairs)
+            pivot, pairs = form
+            quotient: dict[tuple[int, ...], int] = {}
+            for key, mask in dirs[j + 1 :]:
+                a = key[pivot]
+                if a:
+                    v = list(key)
+                    s = log[a]
+                    v[pivot] = 0
+                    for i, b in pairs:
+                        v[i] ^= exp[b + s]
+                    for x in v:  # v is not zero: key is not d
+                        if x:
+                            break
+                    inv = q1 - log[x]
+                    key = tuple([exp[log[y] + inv] if y else 0 for y in v])
+                quotient[key] = quotient.get(key, 0) | mask
+            if kappa == 2:
+                rest = need - count
+                for key, mask in quotient.items():
+                    if mask.bit_count() > rest:
+                        out.append((held | cols | mask, basis + (d, key)))
+            else:
+                walk(
+                    list(quotient.items()),
+                    kappa - 1,
+                    need - count,
+                    held | cols,
+                    basis + (d,),
+                )
+
+    walk(dirs, kappa, need, 0, ())
+    return out
 
 
 def rank(M: GfMatrix) -> int:

@@ -32,9 +32,9 @@ from .code import (
 from .gf import GF256, FieldSpec
 
 # Sized so a default [16, 10] d=4 search stays well under five minutes of
-# pure-Python objective evaluations (about 12 ms per [16, 10] w=3
-# candidate, 4.0 s for seed 0's 333 candidates and 5.2 s for seed 7's 444,
-# in CPU time on a 2-vCPU Intel Xeon VM with Python 3.11).
+# pure-Python objective evaluations (about 5 ms per [16, 10] w=3
+# candidate, 1.6-1.9 s for seed 0's 333 trace entries and 1.75-2.0 s for
+# seed 7's 444, in CPU time on a 2-vCPU Intel Xeon VM with Python 3.11).
 DEFAULT_MAX_ITERATIONS = 200
 DEFAULT_PATIENCE = 50
 DEFAULT_RESTARTS = 3

@@ -8,7 +8,9 @@ from blrc import analysis
 from blrc.analysis import (
     DoubleRepairStats,
     _bits,
-    _flats_above,
+    _closed_flats,
+    _directions,
+    _outside_classes,
     _pair_costs,
     _single_costs,
     avg_repair_bandwidth_double,
@@ -27,8 +29,8 @@ from blrc.code import (
     encode,
     support_of,
 )
-from blrc.gf import GF256
-from blrc.linalg import GfMatrix, proportional_classes, rank
+from blrc.gf import GF256, FieldSpec
+from blrc.linalg import GfMatrix, flats_above, insert_row, rank
 from blrc.search import random_support
 from util_oracles import (
     decodable_by_generator,
@@ -133,11 +135,23 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
+def _first_nonzero(vec) -> int:
+    return next(i for i, x in enumerate(vec) if x)
+
+
+def _rank_of_submasks(cols, nonzero, field):
+    return {
+        F: rank(GfMatrix([cols[b] for b in _bits(F)], field)) if F else 0
+        for F in _submasks(nonzero)
+    }
+
+
 def test_flats_hold_every_low_rank_row_set():
     # the rows of [P; I_r], one per block, are the parity-check columns the
     # double average splits into flats: every set F of more than kappa of
-    # them spanning at most kappa dimensions lies in one mask _flats_above
-    # returns, and every mask spans exactly kappa dimensions
+    # them spanning at most kappa dimensions lies in one mask flats_above
+    # returns, every mask spans exactly kappa dimensions, and its basis is
+    # in echelon order and spans exactly the mask's columns
     rng = random.Random(404)
     codes = [dense_global_code(5), proportional_rows_code()]
     codes += [code for code, _ in itertools.islice(small_alphabet_codes(), 4)]
@@ -148,28 +162,92 @@ def test_flats_hold_every_low_rank_row_set():
         codes.append(SystematicCode(GfMatrix(rows, GF256)))
     checked = 0
     for code in codes:
-        cols = [code.parity_check_column(b + 1) for b in range(code.n)]
-        dirs = list(
-            proportional_classes(
-                (), [(col, 1 << b) for b, col in enumerate(cols)], code.field
-            ).items()
-        )
+        cols, dirs = _directions(code)
         nonzero = 0
         for _, mask in dirs:
             nonzero |= mask
-        rank_of = {
-            F: rank(GfMatrix([cols[b] for b in _bits(F)], code.field)) if F else 0
-            for F in _submasks(nonzero)
-        }
+        rank_of = _rank_of_submasks(cols, nonzero, code.field)
         for kappa in range(1, code.r - 1):
-            masks = _flats_above(dirs, kappa, kappa, code.field)
+            listed = flats_above(dirs, kappa, kappa, code.field)
+            masks = [f for f, _ in listed]
             assert all(rank_of[f] == kappa for f in masks)
             assert all(not f & ~nonzero for f in masks)
+            for f, basis in listed:
+                assert len(basis) == kappa
+                pivots = [_first_nonzero(v) for v in basis]
+                for i, v in enumerate(basis):
+                    assert v[pivots[i]] == 1
+                    assert not any(v[p] for p in pivots[:i]), (kappa, basis)
+                both = [cols[b] for b in _bits(f)] + list(basis)
+                assert rank(GfMatrix(list(basis), code.field)) == kappa
+                assert rank(GfMatrix(both, code.field)) == kappa
             for F, rank_F in rank_of.items():
                 if F.bit_count() > kappa and rank_F <= kappa:
                     checked += 1
                     assert any(not F & ~f for f in masks), (kappa, _bits(F))
     assert checked > 1000
+
+
+def small_field_codes():
+    """Codes over GF(4) and GF(8) from few coefficients, each with a zero
+    data row (a zero parity-check column) and a scaled copy of another
+    row (proportional parity-check columns)."""
+    rng = random.Random(1313)
+    for field in (FieldSpec(2, 0b111), FieldSpec(3, 0b1011)):
+        for _ in range(4):
+            k, r = rng.randrange(4, 8), rng.randrange(3, 6)
+            rows = [
+                [rng.choice((1, 2)) if rng.random() < 0.5 else 0 for _ in range(r)]
+                for _ in range(k - 2)
+            ]
+            rows.append([0] * r)
+            rows.append([field.mul(3, x) for x in rows[0]])
+            rng.shuffle(rows)
+            yield SystematicCode(GfMatrix(rows, field))
+
+
+def test_closed_flats_are_each_closed_flat_once_largest_first():
+    # every closed kappa-flat with more than need columns, by the rank of
+    # every set of columns, comes exactly once and largest first; and its
+    # outside classes are the split of the other nonzero columns by their
+    # residuals modulo the flat's span, as insert_row reduces them
+    checked = 0
+    for code in small_field_codes():
+        field = code.field
+        cols, dirs = _directions(code)
+        assert any(not any(col) for col in cols)
+        nonzero = 0
+        for _, mask in dirs:
+            nonzero |= mask
+        rank_of = _rank_of_submasks(cols, nonzero, field)
+        for kappa in range(1, code.r):
+            closed = [
+                F
+                for F, rank_F in rank_of.items()
+                if rank_F == kappa
+                and all(rank_of[F | 1 << b] > kappa for b in _bits(nonzero & ~F))
+            ]
+            for need in range(kappa + 2):
+                got = list(_closed_flats(dirs, kappa, need, field))
+                masks = [flat for flat, _ in got]
+                assert len(set(masks)) == len(masks)
+                assert set(masks) == {F for F in closed if F.bit_count() > need}
+                sizes = [flat.bit_count() for flat in masks]
+                assert sizes == sorted(sizes, reverse=True)
+                for flat, basis in got:
+                    span: list = []
+                    for b in _bits(flat):
+                        insert_row(span, cols[b], field)
+                    want: dict = {}
+                    for b in _bits(nonzero & ~flat):
+                        lead = insert_row(span, cols[b], field)
+                        res = span.pop()[1]
+                        key = tuple(field.div(x, res[lead]) for x in res)
+                        want[key] = want.get(key, 0) | 1 << b
+                    classes = _outside_classes(dirs, flat, basis, field)
+                    assert classes == list(want.values()), (kappa, _bits(flat))
+                    checked += 1
+    assert checked > 200, checked
 
 
 def _check_against_oracle(code, patterns):
@@ -487,3 +565,17 @@ def test_long_code_double_averages():
             costs = _pair_costs(code)
             for pair in random.Random(26).sample(sorted(costs), 24):
                 assert minimal_repair(code, pair).cost == costs[pair], pair
+
+
+def test_long_code_averages_with_the_longest_listings():
+    # both averages, pinned with ==, of the random_support(spec, 1) codes
+    # with coefficient seed 1 whose flat listings are the longest measured:
+    # 37,409 masks for [28, 20] w = 3 and 346,303 for [30, 20] w = 2
+    for n, k, w, total, single in [(28, 20, 3, 4561, 202), (30, 20, 2, 3130, 120)]:
+        spec = CodeSpec(n, k, w, GF256)
+        code = assign_coefficients(random_support(spec, 1), spec, seed=1)
+        pairs = math.comb(n, 2)
+        assert avg_repair_bandwidth_double(code) == DoubleRepairStats(
+            total / pairs, pairs, 0
+        )
+        assert avg_repair_bandwidth_single(code) == single / n

@@ -40,3 +40,21 @@ def test_catalogue_workload_smoke():
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, done.stderr
     assert result["failed"] == 0, done.stderr
+
+
+def test_search_workload_smoke():
+    """One search pass, whose checks hold the trace order and the best
+    objective against the exact double average of the returned code, must
+    come out correct with no failed operation."""
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"),
+         "--workload", "search", "--seed", "1", "--seconds", "0"],
+        cwd=BENCH.parent,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, done.stderr
+    assert result["failed"] == 0, done.stderr

@@ -1,9 +1,9 @@
 """Repair-bandwidth and decodability metrics.
 
-Both repair averages, which rank codes, are computed in the dual: from the
-columns of the parity-check matrix H = [P^T | I_r].  Survivors S can stay
-unfetched in a repair of the erased set E exactly when no codeword
-vanishing off S u E is nonzero on E, that is, when
+Repair plans, and both repair averages that rank codes, are computed in
+the dual: from the columns of the parity-check matrix H = [P^T | I_r].
+Survivors S can stay unfetched in a repair of the erased set E exactly
+when no codeword vanishing off S u E is nonzero on E, that is, when
 rank(H_{S u E}) = rank(H_S) + |E| (S is skew to E).  Two lines prove the
 cost formula:
 
@@ -12,19 +12,22 @@ cost formula:
     S u E, so a largest S is a skew flat of rank r - |E|.
 
 A flat holds every zero column (a data block no parity covers), and E is
-undecodable when its columns are dependent.  Otherwise, for |E| = 1 and 2,
+undecodable when its columns are dependent.  Otherwise
 
   cost(E) = (nonzero columns - |E|)
             - (nonzero columns of the largest flat of rank r - |E| skew to E).
 
-Each row j of H bounds the single costs.  Two lines prove the bound:
+Any |E| rows J of H on which the columns of E are independent bound
+cost(E).  Two lines prove the bound:
 
-  * the columns with a zero in row j include the unit columns of the other
-    r - 1 parities, so they span the hyperplane x_j = 0 and hold every
-    column inside it: they are a closed flat of rank r - 1;
-  * a column with a nonzero in row j lies outside that hyperplane, so the
-    flat is skew to every block row j covers (its local group's repair).
+  * the columns zero on every row of J include the unit columns of the
+    other r - |E| parities, so they span the subspace x_J = 0 and hold
+    every column inside it: they are a closed flat of rank r - |E|, a
+    coordinate flat;
+  * no nonzero combination of E's columns vanishes on J, so none lies in
+    that subspace: the flat is skew to E.
 
+For a single block J is one row covering it (its local group's repair).
 So a block starts at the largest such flat among the rows covering it,
 and a pair whose columns are independent at r - 2 columns: a flat of rank
 r - 2 holds more only when it is dependent.  One linalg.flats_above walk
@@ -58,32 +61,30 @@ walk stops two columns short of the largest size counted.
 minimum_distance and the rank condition read their first dependent
 subsets from the same walk.
 
-Plans stay primal.  minimal_repair answers one pattern with a plan: the
-smallest set of surviving blocks whose generator columns span the columns
-of every erased block, with ties broken toward the lexicographically
-smallest index set.  The search is organized around the parity blocks
-used by a plan:
+minimal_repair answers one pattern E from the same flats: its helpers
+are the nonzero surviving columns outside the largest flat of rank
+r - |E| skew to E.  The plan starts at the largest coordinate flat of E,
+and _closed_flats lists the flats of that rank holding at least as many
+columns and more than r - |E|, so flats tied with the start are listed
+too; the first one skew to E, a rank test on its carried basis with E's
+columns, sets the size.
+Ties go to the lexicographically least helper tuple.  Two flats of one
+size leave helper sets of one size, and the least block telling the
+flats apart tells the helper sets apart too; the helper set holding it
+is the lesser, so the flat lacking it wins: the lexicographically
+greatest flat as a sorted block tuple.
 
-  * any minimal plan fetches a subset T of surviving parities plus data
-    blocks drawn from the supports of T and of the erased parities (a data
-    helper outside those supports can never contribute and could be dropped,
-    contradicting minimality),
-  * for a fixed T, a data block of those supports may stay unfetched
-    only if at least two parities of T cover it, or one does and it lies
-    in an erased parity's support; the rest are always fetched.
+When no listed flat is skew, every coordinate flat has exactly r - |E|
+columns (as in an MDS code), and so does every skew flat: with E it is a
+basis of F^r, so it is a basis of the contraction by E.  The greedy
+algorithm, keeping each survivor from the highest index down that stays
+independent of E and the survivors kept, returns the basis whose sorted
+members are each at least those of any other basis (Gale, "Optimal
+assignments in an ordered set", J. Combin. Theory 1968), so the
+lexicographically greatest one.
 
-For a fixed T the unfetched blocks that work are closed under taking
-subsets, so a depth-first search that adds one block at a time to an
-incremental span test, dropping every prefix that fails, finds the
-largest such set (the cheapest plan) and, among those, the one giving
-the lexicographically smallest helper set.  The depth-first search
-inserts with linalg.echelon_insert, whose basis never stores a row it
-rejects.
-
-Every candidate is verified by an exact span test, so the result is
-identical to a plain size-ordered search over all survivor subsets (the
-test suite checks this against an independent all-subsets oracle, and
-checks the plans' costs against the flats' for every single and pair).
+The test suite checks every plan kind against an independent all-subsets
+oracle, and both averages against the plans for every single and pair.
 Both answer every code length, so a long code costs time, never
 exactness.
 """
@@ -103,11 +104,13 @@ from .code import (
     update_complexity,
 )
 from .linalg import (
-    LogBasis,
-    echelon_insert,
+    Basis,
+    GfMatrix,
     flats_above,
     independent_prefixes,
+    insert_row,
     proportional_classes,
+    rank,
 )
 
 ErasurePattern = tuple[int, ...]
@@ -285,207 +288,71 @@ def _pair_costs(code: SystematicCode) -> dict[tuple[int, int], int]:
     return costs
 
 
-def _largest_extension(
-    basis: LogBasis,
-    vecs: list[list[int]],
-    na: int,
-    field,
-    beat: int,
-    hi: int,
-) -> list[int] | None:
-    """Positions of the lexicographically first of the largest sets of vecs
-    whose insertion keeps every lead of basis below column na, when that
-    set has more than beat members; None otherwise.  hi bounds the size
-    from above.  The lexicographically first set leaves out the earliest
-    positions.
-
-    Such sets are closed under taking subsets, so a depth-first search
-    that inserts one vector at a time drops every prefix that fails.  The
-    first pass includes before it excludes and finds the largest size; the
-    second excludes first, so the first set of that size it reaches is the
-    lexicographically first.  basis only ever holds rows leading below na,
-    so a rejected vector is never stored; it comes back with extra rows.
-    """
-    if beat >= hi:
-        return None
-    m = len(vecs)
-    best = beat
-    chosen: list[int] = []
-
-    def largest(j: int) -> bool:
-        nonlocal best
-        if len(chosen) + m - j <= best:
-            return False
-        if j == m:
-            best = len(chosen)
-            return best >= hi
-        lead = echelon_insert(basis, vecs[j], na, field)
-        if lead is None or lead < na:
-            chosen.append(j)
-            stop = largest(j + 1)
-            chosen.pop()
-            if lead is not None:
-                basis.pop()
-            if stop:
-                return True
-        return largest(j + 1)
-
-    largest(0)
-    if best == beat:
-        return None
-
-    def first(j: int) -> bool:
-        if len(chosen) == best:
-            return True
-        if len(chosen) + m - j < best:
-            return False
-        if first(j + 1):
-            return True
-        lead = echelon_insert(basis, vecs[j], na, field)
-        if lead is None or lead < na:
-            chosen.append(j)
-            if first(j + 1):
-                return True
-            chosen.pop()
-            if lead is not None:
-                basis.pop()
-        return False
-
-    first(0)
-    return chosen
-
-
-def _best_for_parity_set(
-    P, col_mask, field, T, e_rows, e_pars, targets, cost_cap
-) -> tuple[int, tuple[int, ...]] | None:
-    """Cheapest feasible plan that fetches exactly the parity set T (and
-    actually uses every parity in it), or None when none is below
-    cost_cap.  Returns (cost, sorted block tuple), the lexicographically
-    smallest such tuple.
-
-    Plans with an unused helper are never cost-minimal (dropping the
-    helper would beat them), so restricting to all-parities-used plans
-    loses no optimum and no tie candidate.
-    """
-    k = len(P)
-    # the rows T covers, and the rows at least two parities of T cover
-    t_mask = multi = 0
-    for t in T:
-        multi |= t_mask & col_mask[t]
-        t_mask |= col_mask[t]
-    e_mask = 0
-    for i in e_rows:
-        e_mask |= 1 << i
-    if e_mask & ~t_mask:
-        return None  # an erased data row no parity equation touches
-    par_mask = 0
-    for p in e_pars:
-        par_mask |= col_mask[p]
-
-    # A row only one parity t of T covers can stay unfetched only for
-    # an erased parity's sake: every combination repairing an erased
-    # data row vanishes on it, so it leaves t out, and a combination
-    # repairing an erased parity must match that parity's coefficient
-    # on it, which is nonzero only on the parity's support.  (Were t
-    # used by no combination, dropping it would give a cheaper plan.)
-    pool_mask = (multi | t_mask & par_mask) & ~e_mask
-    forced_mask = (t_mask | par_mask) & ~e_mask & ~pool_mask
-
-    # leaving f pool rows unfetched costs base + n_pool - f, which
-    # beats cost_cap only when f > beat
-    base = len(T) + forced_mask.bit_count()
-    n_pool = pool_mask.bit_count()
-    beat = n_pool - (cost_cap - base)
-    # the unfetched rows, each extended by its coefficients in the
-    # erased parities, span at most kappa dimensions: the fetched
-    # columns must give one unit vector per erased data row vanishing
-    # on them, and match every erased parity on them
-    kappa = len(T) - len(e_rows)
-    f_hi = n_pool if kappa > 0 else 0
-    if kappa < 0 or f_hi <= beat:
-        return None
-
-    # A fetched set is feasible iff no vector of the span of its
-    # erased and unfetched rows [row restricted to T | target part]
-    # starts in a target column, so the unfetched sets that work are
-    # closed under taking subsets.  The erased rows' basis is also the
-    # quick reject for fetching every support row.
-    na = len(T)
-    basis: LogBasis = []
-    for i in e_rows:
-        row = [P[i][t] for t in T] + targets[i]
-        lead = echelon_insert(basis, row, na, field)
-        if lead is not None and lead >= na:
-            return None
-
-    pool = _bits(pool_mask)
-    unfetched = _largest_extension(
-        basis,
-        [[P[i][t] for t in T] + targets[i] for i in pool],
-        na,
-        field,
-        beat,
-        f_hi,
-    )
-    if unfetched is None:
-        return None
-    left = {pool[j] for j in unfetched}
-    helpers = tuple(
-        sorted(
-            [i + 1 for i in pool if i not in left]
-            + [i + 1 for i in _bits(forced_mask)]
-            + [k + 1 + t for t in T]
-        )
-    )
-    return len(helpers), helpers
-
-
 def minimal_repair(code: SystematicCode, erased) -> RepairPlan:
     """Smallest helper set whose generator columns span every erased
     column; ties resolved toward the lexicographically least index set.
+    The helpers are the survivors with a nonzero parity-check column
+    outside the largest flat of rank r - |E| skew to E (see the module
+    docstring).
 
     Raises UndecodableError when the pattern is not recoverable at all.
     """
     erased = normalize_pattern(code, erased)
     if not erased:
         return RepairPlan((), (), 0)
-    k, r, P = code.k, code.r, code.P.data
-    # row sets as bitmasks, bit i = data row i
-    col_mask = [sum(1 << i for i in range(k) if P[i][j]) for j in range(r)]
-    e_rows = [b - 1 for b in erased if b <= k]
-    e_pars = [b - k - 1 for b in erased if b > k]
-    surviving_parities = [j for j in range(r) if (k + 1 + j) not in erased]
-    # target part of each row: unit flags for erased data rows, then
-    # coefficients of erased parity columns
-    targets = {
-        i: [1 if i == ie else 0 for ie in e_rows] + [P[i][p] for p in e_pars]
-        for i in range(k)
-    }
-
-    best_cost = code.n + 1
-    best_set: tuple[int, ...] | None = None
-    # |T| >= number of erased data blocks is necessary
-    for t_size in range(len(e_rows), len(surviving_parities) + 1):
-        if t_size > best_cost:
-            break
-        for T in itertools.combinations(surviving_parities, t_size):
-            found = _best_for_parity_set(
-                P, col_mask, code.field, T, e_rows, e_pars, targets, best_cost + 1
-            )
-            if found is not None:
-                cost, helper_set = found
-                if cost < best_cost or (
-                    cost == best_cost
-                    and best_set is not None
-                    and helper_set < best_set
-                ):
-                    best_cost = cost
-                    best_set = helper_set
-    if best_set is None:
-        # every helper set spanning the erased columns is a plan, so
-        # the search finds none exactly when the pattern is undecodable
+    r, f, field = code.r, len(erased), code.field
+    cols, dirs = _directions(code)
+    e_cols = [cols[b - 1] for b in erased]
+    if rank(GfMatrix(e_cols, field)) < f:
         raise UndecodableError(erased)
-    return RepairPlan(erased, best_set, best_cost)
+    lost = sum(1 << (b - 1) for b in erased)
+    nonzero = 0
+    for _, mask in dirs:
+        nonzero |= mask
+    # the largest coordinate flat: the nonzero columns zero on f rows on
+    # which E is independent
+    zero_in = [
+        sum(1 << b for b in _bits(nonzero) if not cols[b][j]) for j in range(r)
+    ]
+    start = r - f
+    for rows in itertools.combinations(range(r), f):
+        held = nonzero
+        for j in rows:
+            held &= zero_in[j]
+        count = held.bit_count()
+        if count > start:
+            square = [[col[j] for col in e_cols] for j in rows]
+            if rank(GfMatrix(square, field)) == f:
+                start = count
+    best = size = 0
+    if f < r:
+        # keep the flats tied with the start listed
+        need = max(r - f, start - 1)
+        for flat, basis in _closed_flats(dirs, r - f, need, field):
+            if flat.bit_count() < size:
+                break
+            if flat & lost:
+                continue
+            # a flat tied with best wins when best holds the least block
+            # telling them apart
+            if size and not (flat ^ best) & -(flat ^ best) & best:
+                continue
+            if rank(GfMatrix(list(basis) + e_cols, field)) == r:
+                best, size = flat, flat.bit_count()
+    if not size:
+        # every skew flat is r - f independent columns, a basis of the
+        # contraction by E; greedy from the highest index down takes the
+        # lexicographically greatest one (Gale)
+        span: Basis = []
+        for col in e_cols:
+            insert_row(span, col, field)
+        for b in reversed(_bits(nonzero & ~lost)):
+            if len(span) == r:
+                break
+            if insert_row(span, cols[b], field) is not None:
+                best |= 1 << b
+    helpers = tuple(b + 1 for b in _bits(nonzero & ~lost & ~best))
+    return RepairPlan(erased, helpers, len(helpers))
 
 
 def repair_values(

@@ -1,22 +1,19 @@
 """Dense matrices over GF(2^m): rank, solving, column-span membership, an
-echelon basis that grows one row at a time, two kernels for the hot loops
-of the repair search, and two walks in the quotient: over the independent
-subsets of a vector list, and over the flats of a direction list.
+echelon basis that grows one row at a time, a kernel that splits vectors
+into proportional classes modulo a span, and two walks in the quotient:
+over the independent subsets of a vector list, and over the flats of a
+direction list.
 
 Everything here is exact Gaussian elimination with first-nonzero pivoting.
 Matrices in this package never exceed a few dozen rows, so no attention is
 paid to asymptotics.  Operations never mutate their inputs, except that
-insert_row and echelon_insert append to the basis they are given.
+insert_row appends to the basis it is given.
 
-The two kernels run a whole loop in one call, with each reducing row's
-nonzero entries held as (column, log) pairs scaled to a leading 1:
-
-  * proportional_classes reduces many vectors modulo a span and groups
-    the residuals by proportionality (the directions of the parity-check
-    columns, and the classes outside each flat);
-  * echelon_insert is insert_row for a LogBasis that only ever holds rows
-    leading before a bound, so a depth-first search over row sets never
-    stores, and never pops, a row it rejects.
+proportional_classes runs a whole loop in one call, with each reducing
+row's nonzero entries held as (column, log) pairs scaled to a leading 1:
+it reduces many vectors modulo a span and groups the residuals by
+proportionality (the directions of the parity-check columns, and the
+classes outside each flat).
 
 independent_prefixes walks the independent increasing position tuples of
 a vector list in the quotient: each tuple carries the later vectors as
@@ -183,44 +180,6 @@ def insert_row(basis: Basis, row: Sequence[int], field: FieldSpec) -> int | None
     for lead, x in enumerate(v):
         if x:
             basis.append((lead, v))
-            return lead
-    return None
-
-
-LogBasis = list[tuple[int, list[tuple[int, int]]]]
-"""Echelon rows as (pivot, pairs) in insertion order, each row scaled to 1
-at its pivot and held as the (column, log of entry) pairs of its nonzero
-entries after the pivot.  Pivots are distinct and each row is zero before
-its pivot and at the pivot of every earlier row."""
-
-
-def echelon_insert(
-    basis: LogBasis, row: Sequence[int], bound: int, field: FieldSpec
-) -> int | None:
-    """insert_row for a LogBasis that keeps only rows leading before bound.
-
-    Returns None when row lies in the span of basis, and otherwise the
-    lead of its residual, the same lead insert_row returns for the same
-    rows; the residual is appended, scaled to 1 at its lead, only when
-    lead < bound.  Scaling a basis row changes neither the span nor the
-    residual of any later row, so the leads match insert_row's.
-    """
-    exp, log = field._exp, field._log
-    v = list(row)
-    for pivot, pairs in basis:
-        a = v[pivot]
-        if a:
-            s = log[a]
-            v[pivot] = 0
-            for j, b in pairs:
-                v[j] ^= exp[b + s]
-    for lead, x in enumerate(v):
-        if x:
-            if lead < bound:
-                q1 = field.order - 1
-                inv = q1 - log[x]
-                tail = enumerate(v[lead + 1 :], lead + 1)
-                basis.append((lead, [(j, (log[y] + inv) % q1) for j, y in tail if y]))
             return lead
     return None
 

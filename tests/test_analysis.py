@@ -31,6 +31,7 @@ from blrc.code import (
 )
 from blrc.gf import GF256, FieldSpec
 from blrc.linalg import GfMatrix, flats_above, insert_row, rank
+from blrc.refcodes import build_rs
 from blrc.search import random_support
 from util_oracles import (
     decodable_by_generator,
@@ -106,8 +107,7 @@ def test_single_repair_cost_is_l_or_l_plus_one(code_15_10, code_16_10_w2):
 def dense_global_code(seed: int) -> SystematicCode:
     """[14, 8] code laid out like the Azure LRC: two local parities over the
     halves of the data and four dense global parities.  Dense columns are
-    where the plane families of the repair search decide plans; balanced
-    supports rarely need them."""
+    the hard case for planning; balanced supports rarely have them."""
     rng = random.Random(seed)
     rows = [
         [1 if i // 4 == j else 0 for j in range(2)]
@@ -261,9 +261,48 @@ def _check_against_oracle(code, patterns):
         assert (plan.cost, plan.helpers) == expected, pattern
 
 
+def test_mds_plans_take_the_greedy_basis():
+    # every coordinate flat of an MDS code has r - f columns, so no listed
+    # flat is skew and the plan takes the greedy basis of the contraction:
+    # the last r - f survivors stay unfetched and the first k help
+    code = build_rs(14, 10).code
+    blocks = range(1, code.n + 1)
+    triples = random.Random(14).sample(list(itertools.combinations(blocks, 3)), 30)
+    patterns = [(b,) for b in blocks] + list(itertools.combinations(blocks, 2))
+    patterns += triples
+    _check_against_oracle(code, patterns)
+    for pattern in patterns:
+        survivors = [b for b in blocks if b not in pattern]
+        assert minimal_repair(code, pattern).helpers == tuple(survivors[: code.k])
+
+
+def test_r_block_patterns_read_every_survivor(code_15_10):
+    # r erased blocks leave a flat of rank 0: every survivor helps
+    code = code_15_10
+    blocks = range(1, code.n + 1)
+    patterns = random.Random(5).sample(
+        list(itertools.combinations(blocks, code.r)), 24
+    )
+    _check_against_oracle(code, patterns)
+    decodable = 0
+    for pattern in patterns:
+        if decodable_by_generator(code, pattern):
+            decodable += 1
+            survivors = tuple(b for b in blocks if b not in pattern)
+            assert minimal_repair(code, pattern).helpers == survivors
+    assert 0 < decodable < len(patterns)
+
+
+def test_bundled_16_10_triples_match_oracle(code_16_10_w3, code_16_10_w2):
+    # the shard workload's codes and deepest losses
+    rng = random.Random(1610)
+    for code in (code_16_10_w3, code_16_10_w2):
+        triples = list(itertools.combinations(range(1, code.n + 1), 3))
+        _check_against_oracle(code, rng.sample(triples, 40))
+
+
 def test_dense_global_pairs_and_triples_match_oracle():
-    # four dense global parities give parity sets with kappa 3; the
-    # search's plans are the all-subsets oracle's
+    # four dense global parities: the plans are the all-subsets oracle's
     code = dense_global_code(28)
     blocks = range(1, code.n + 1)
     rng = random.Random(8)
@@ -338,10 +377,11 @@ def zero_column_code() -> SystematicCode:
 
 
 def test_pair_costs_match_repair_search():
-    # the flats of the parity-check columns and the parity-set search are
-    # independent ways of pricing a single or a pair; they agree on every
-    # one, and one the flats leave unpriced is one the search finds
-    # undecodable
+    # both walk the same closed flats, but the averages price blocks and
+    # pairs in bulk by the proportional classes outside each flat, and a
+    # plan tests one pattern's skewness by rank; they agree on every
+    # single and pair, and one the averages leave unpriced is one the
+    # plan refuses as undecodable
     codes = [dense_global_code(5), dense_global_code(28)]
     codes += [code for code, _ in small_alphabet_codes()]
     codes += [proportional_rows_code(), tied_halves_code()]
@@ -517,7 +557,7 @@ def test_report_for_w2_code(code_16_10_w2):
 
 
 def test_exact_single_plans_beyond_n_24_match_oracle():
-    # one exact search answers every length: the cheapest helper set and,
+    # one exact plan answers every length: the cheapest helper set and,
     # among those, the lexicographically first, as the all-subsets oracle
     rng = random.Random(5)
     n, k, w = 30, 20, 2
@@ -553,7 +593,7 @@ def test_disjoint_groups_beyond_n_24_closed_form():
 def test_long_code_double_averages():
     # exact double averages past n = 24 (random_support(spec, 1) with
     # assign_coefficients(..., seed=1)), and sampled [26, 20] pairs priced
-    # alike by the parity-set search
+    # alike by minimal_repair
     for n, k, total in [(26, 20, 4759), (30, 24, 7872)]:
         spec = CodeSpec(n, k, 3, GF256)
         code = assign_coefficients(random_support(spec, 1), spec, seed=1)

@@ -256,6 +256,26 @@ def test_repair_refuses_renamed_shard(capsys, code_file, tmp_path):
     assert not victim.exists()
 
 
+@pytest.mark.parametrize("lost", [(1, 11, 12, 14), (2, 3, 5, 8, 13, 15)])
+def test_repair_refuses_undecodable_losses(capsys, code_file, tmp_path, lost):
+    # data block 1 with the three parities covering it, and more than r
+    src = tmp_path / "a.bin"
+    src.write_bytes(b"hello world" * 10)
+    shard_dir = tmp_path / "shards"
+    rc, *_ = run(capsys, "encode", str(code_file), str(src),
+                 "--out-dir", str(shard_dir))
+    assert rc == 0
+    for b in lost:
+        (shard_dir / f"a.bin.s{b:02d}").unlink()
+    left = sorted(shard_dir.iterdir())
+    rc, out, err = run(capsys, "repair", str(code_file),
+                       "--shards", str(shard_dir))
+    assert rc == 1
+    assert err == f"error: erasure pattern {lost} is not decodable\n"
+    assert out == ""
+    assert sorted(shard_dir.iterdir()) == left
+
+
 @pytest.mark.parametrize("index", ["0", "99"])
 def test_repair_rejects_index_outside_code_length(capsys, code_file, tmp_path,
                                                   index):

@@ -1,4 +1,3 @@
-import copy
 import random
 
 import pytest
@@ -9,7 +8,6 @@ from blrc.gf import GF256, FieldSpec
 from blrc.linalg import (
     GfMatrix,
     SingularMatrixError,
-    echelon_insert,
     insert_row,
     proportional_classes,
     rank,
@@ -197,30 +195,6 @@ def test_proportional_classes_match_insert_row(data, picks, scale):
     got = proportional_classes(span, items, field)
     want = _classes_by_insert_row(span, items, field)
     assert list(got.items()) == list(want.items())
-
-
-@given(data=vector_lists(), bound=st.integers(0, 6))
-@settings(max_examples=150, deadline=None)
-def test_echelon_insert_matches_insert_row(data, bound):
-    field, vecs = data
-    basis, ref = [], []
-    for v in vecs:
-        want = insert_row(ref, v, field)
-        before = copy.deepcopy(basis)
-        assert echelon_insert(basis, v, bound, field) == want
-        if want is not None and want >= bound:
-            ref.pop()  # the span reaches column bound: nothing is stored
-            assert basis == before
-        assert len(basis) == len(ref)
-        # each stored row is the insert_row residual scaled to 1 at its lead
-        for (pivot, pairs), (lead, row) in zip(basis, ref):
-            assert pivot == lead
-            scaled = [field.div(x, row[lead]) for x in row]
-            full = [0] * len(row)
-            full[pivot] = 1
-            for j, lg in pairs:
-                full[j] = field._exp[lg]
-            assert full == scaled
 
 
 def test_span_coefficients_zero_and_members():

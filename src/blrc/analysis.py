@@ -27,13 +27,13 @@ cost(E).  Two lines prove the bound:
   * no nonzero combination of E's columns vanishes on J, so none lies in
     that subspace: the flat is skew to E.
 
-For a single block J is one row covering it (its local group's repair).
-So a block starts at the largest such flat among the rows covering it,
-and a pair whose columns are independent at r - 2 columns: a flat of rank
-r - 2 holds more only when it is dependent.  One linalg.flats_above walk
-lists every flat of that rank holding more columns than the smallest
-start, each with an echelon basis of its span, some of them partly (a
-flat found from a later direction lacks its earlier ones).  _closed_flats
+For a single block J is one row covering it (its local group's repair),
+so a block starts at the largest such flat among the rows covering it.
+A pair starts at the largest such flat among the row pairs on which its
+columns are independent.  One linalg.flats_above walk lists every flat
+of the rank r - |E| holding more columns than need, the smallest start,
+each with an echelon basis of its span, some of them partly (a flat
+found from a later direction lacks its earlier ones).  _closed_flats
 walks them largest first and tells the closed ones by containment alone:
 
   * a partial mask M lies inside cl(M), a flat of the same rank with more
@@ -46,8 +46,25 @@ with no field arithmetic.  The columns outside a flat split into
 proportional classes modulo its span: every column outside a hyperplane
 is skew to it (the quotient is a line), and a pair from two different
 classes is skew to a flat of rank r - 2.  So each block or pair is priced
-at the first flat it is skew to; only the pairs need the classes, which
-come from the basis the walk carries.
+at the first flat it is skew to.  Only the pairs need the classes, which
+come from the basis the walk carries, and only for the columns of the
+pairs still open outside the flat; a flat with none is passed over.
+
+A block or pair the walk leaves open costs reads - need, reads being
+the nonzero columns other than its own: a start above need is a listed
+flat skew to it, so its start is need, and no larger flat is skew to
+it.  The smallest pair start comes from the row pairs of H, walked from
+the largest coordinate flat down: each splits the columns nonzero on
+its two rows by their direction on those rows and settles the pairs
+across two classes, and need is the size at which the last pair
+settles.  need prunes only the inner levels of the walk, so below
+r - 2 = 3, where the walk is one level of lines, the pairs keep
+need = r - 2.
+
+The hyperplanes are listed with the parity columns first (the directions
+in reverse order), so their walk starts from unit directions; that
+measured faster for them, and slower for the rank r - 2 listing, which
+keeps index order.
 
 The decodability census counts the undecodable f-subsets, those with
 dependent parity-check columns, as comb(n, f) less the independent ones.
@@ -205,10 +222,10 @@ def _closed_flats(dirs, kappa: int, need: int, field):
         yield flat, basis
 
 
-def _outside_classes(dirs, flat: int, basis, field) -> list[int]:
+def _outside_classes(dirs, columns: int, basis, field) -> list[int]:
     """Column masks of the proportional classes, modulo the span of basis,
-    of the directions outside flat, in order of first appearance."""
-    outside = [d for d in dirs if not d[1] & flat]
+    of columns (none of them in that span), in order of first appearance."""
+    outside = [(d, mask & columns) for d, mask in dirs if mask & columns]
     return list(proportional_classes(basis, outside, field).values())
 
 
@@ -218,6 +235,19 @@ def _directions(code: SystematicCode):
     cols = [code.parity_check_column(b + 1) for b in range(code.n)]
     items = [(col, 1 << b) for b, col in enumerate(cols)]
     return cols, list(proportional_classes((), items, code.field).items())
+
+
+def _zero_rows(dirs, r: int) -> tuple[int, list[int]]:
+    """The nonzero columns, and for each row of H the nonzero columns zero
+    on it."""
+    nonzero = 0
+    zero_in = [0] * r
+    for d, mask in dirs:
+        nonzero |= mask
+        for j in range(r):
+            if not d[j]:
+                zero_in[j] |= mask
+    return nonzero, zero_in
 
 
 def _single_costs(code: SystematicCode) -> list[int]:
@@ -237,7 +267,8 @@ def _single_costs(code: SystematicCode) -> list[int]:
             held[b] = max(held[b], n - len(covered))
     if r > 1:
         open_ = (1 << n) - 1
-        for flat, _ in _closed_flats(dirs, r - 1, min(held), code.field):
+        # parity columns first: the walk starts from unit directions
+        for flat, _ in _closed_flats(dirs[::-1], r - 1, min(held), code.field):
             size = flat.bit_count()
             for b in _bits(open_ & ~flat):
                 held[b] = max(held[b], size)
@@ -252,6 +283,52 @@ def avg_repair_bandwidth_single(code: SystematicCode) -> float:
     return sum(_single_costs(code)) / code.n
 
 
+def _smallest_pair_start(dirs, r: int, field) -> int:
+    """The fewest columns in the largest coordinate flat of any pair of
+    columns in two different directions (see the module docstring).  The
+    row pairs of H are walked from the largest coordinate flat down; each
+    settles the pairs of directions it splits into two different
+    directions on its two rows, and some row pair splits every pair."""
+    log, q1 = field._log, field.order - 1
+    nonzero, zero_in = _zero_rows(dirs, r)
+    row_pairs = sorted(
+        (
+            ((nonzero & zero_in[i] & zero_in[j]).bit_count(), i, j)
+            for i, j in itertools.combinations(range(r), 2)
+        ),
+        reverse=True,
+    )
+    # unsettled[p]: bit q is set for each later direction q whose pair
+    # with direction p is not yet split
+    unsettled = [-(2 << p) & ((1 << len(dirs)) - 1) for p in range(len(dirs))]
+    need = r - 2  # no coordinate flat holds fewer columns
+    for size, i, j in row_pairs:
+        if size == need:
+            break  # the pairs still open start at r - 2
+        # each direction's direction on rows i and j, keyed by log(y / x)
+        keys = []
+        classes: dict[int, int] = {}
+        unseen = 0
+        for p, (d, _) in enumerate(dirs):
+            x, y = d[i], d[j]
+            if x:
+                key = (log[y] - log[x]) % q1 if y else -1
+            elif y:
+                key = -2
+            else:
+                unseen |= 1 << p
+                keys.append(None)
+                continue
+            keys.append(key)
+            classes[key] = classes.get(key, 0) | 1 << p
+        for p, key in enumerate(keys):
+            if key is not None:
+                unsettled[p] &= classes[key] | unseen
+        if not any(unsettled):
+            return size
+    return need
+
+
 def _pair_costs(code: SystematicCode) -> dict[tuple[int, int], int]:
     """Minimal joint repair cost of every decodable block pair, from the
     flats of the parity-check columns (see the module docstring)."""
@@ -260,31 +337,49 @@ def _pair_costs(code: SystematicCode) -> dict[tuple[int, int], int]:
     nonzero = 0
     for _, mask in dirs:
         nonzero |= mask
-    # open_[a]: the blocks b > a whose pair with a is decodable and unpriced
+    # open_[a]: the blocks b > a whose pair with a is decodable and
+    # unpriced; live: the blocks a with open_[a] nonzero
     open_ = [0] * n
+    live = 0
     for _, mask in dirs:
         for a in _bits(mask):
             open_[a] = nonzero & ~mask & -(2 << a)
+            if open_[a]:
+                live |= 1 << a
     # a pair reads every nonzero column but its own and the unfetched ones
     reads = nonzero.bit_count() - 2
+    need = rho  # no start holds fewer columns
+    # need prunes only the inner levels: at r - 2 = 2 the walk is lines
+    if rho >= 3 and live:
+        need = _smallest_pair_start(dirs, code.r, code.field)
     costs = {}
-    if rho > 0 and any(open_):
-        for flat, basis in _closed_flats(dirs, rho, rho, code.field):
+    if rho > 0 and live:
+        for flat, basis in _closed_flats(dirs, rho, need, code.field):
+            # the columns of the pairs still open outside the flat
+            pending = 0
+            for a in _bits(live & ~flat):
+                hit = open_[a] & ~flat
+                if hit:
+                    pending |= 1 << a | hit
+            if not pending:
+                continue
             cost = reads - flat.bit_count()
-            skew_to = nonzero & ~flat
-            for mask in _outside_classes(dirs, flat, basis, code.field):
-                skew = skew_to & ~mask
-                for a in _bits(mask):
+            for mask in _outside_classes(dirs, pending, basis, code.field):
+                skew = pending & ~mask
+                for a in _bits(mask & live):
                     hit = open_[a] & skew
                     if hit:
                         open_[a] ^= hit
+                        if not open_[a]:
+                            live ^= 1 << a
                         for b in _bits(hit):
                             costs[a + 1, b + 1] = cost
-            if not any(open_):
+            if not live:
                 break
+    # a pair left open starts at need: a larger start is a listed flat
     for a, mask in enumerate(open_):
         for b in _bits(mask):
-            costs[a + 1, b + 1] = reads - rho
+            costs[a + 1, b + 1] = reads - need
     return costs
 
 
@@ -306,14 +401,9 @@ def minimal_repair(code: SystematicCode, erased) -> RepairPlan:
     if rank(GfMatrix(e_cols, field)) < f:
         raise UndecodableError(erased)
     lost = sum(1 << (b - 1) for b in erased)
-    nonzero = 0
-    for _, mask in dirs:
-        nonzero |= mask
     # the largest coordinate flat: the nonzero columns zero on f rows on
     # which E is independent
-    zero_in = [
-        sum(1 << b for b in _bits(nonzero) if not cols[b][j]) for j in range(r)
-    ]
+    nonzero, zero_in = _zero_rows(dirs, r)
     start = r - f
     for rows in itertools.combinations(range(r), f):
         held = nonzero

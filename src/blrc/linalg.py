@@ -26,7 +26,10 @@ columns, for the repair averages: a flat found from its first direction
 is that direction with a flat of the quotient by it, so it reduces only
 the classes that are nonzero at the new direction's pivot, and it hands
 back each flat with the directions it chose, an echelon basis of its
-span.
+span.  At the last level it skips a direction before reducing anything
+when no line through it can hold more than the columns asked for: the
+classes zero at its pivot never merge with each other, so a line holds
+at most one of them besides the classes the direction touches.
 """
 
 from __future__ import annotations
@@ -329,6 +332,10 @@ def flats_above(
     is zero at the new direction's pivot is already its residual and keeps
     its key, each direction's (pivot, log pairs) form is built once per
     walk, and the lines of the last level are read off without recursing.
+    The kept keys are distinct directions, so they never merge with each
+    other: a class of the last level joins at most one of them to keys
+    nonzero at the pivot, and the last level skips d when those keys'
+    columns plus the largest kept key cannot exceed need - |d|.
     """
     exp, log = field._exp, field._log
     q1 = field.order - 1
@@ -352,6 +359,23 @@ def flats_above(
                 pairs = [(i, log[y]) for i, y in enumerate(d) if y and i > pivot]
                 form = forms[d] = (pivot, pairs)
             pivot, pairs = form
+            if kappa == 2:
+                # keys zero at the pivot keep their residual, so a class
+                # of the quotient joins at most one of them to keys
+                # nonzero there
+                rest = need - count
+                if rest > 0:
+                    touched = kept = 0
+                    for key, mask in dirs[j + 1 :]:
+                        size = mask.bit_count()
+                        if key[pivot]:
+                            touched += size
+                        elif size > kept:
+                            kept = size
+                        if touched + kept > rest:
+                            break
+                    else:
+                        continue  # no line through d holds more than need
             quotient: dict[tuple[int, ...], int] = {}
             for key, mask in dirs[j + 1 :]:
                 a = key[pivot]
@@ -368,7 +392,6 @@ def flats_above(
                     key = tuple([exp[log[y] + inv] if y else 0 for y in v])
                 quotient[key] = quotient.get(key, 0) | mask
             if kappa == 2:
-                rest = need - count
                 for key, mask in quotient.items():
                     if mask.bit_count() > rest:
                         out.append((held | cols | mask, basis + (d, key)))

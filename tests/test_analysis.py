@@ -31,9 +31,11 @@ from blrc.code import (
 )
 from blrc.gf import GF256, FieldSpec
 from blrc.linalg import GfMatrix, flats_above, insert_row, rank
+from blrc.presets import blrc_15_10_w3, blrc_16_10_w2, blrc_16_10_w3
 from blrc.refcodes import build_rs
 from blrc.search import random_support
 from util_oracles import (
+    certify_plan,
     decodable_by_generator,
     minimal_repair_all_subsets,
     random_valid_code,
@@ -188,6 +190,30 @@ def test_flats_hold_every_low_rank_row_set():
     assert checked > 1000
 
 
+def test_flats_above_a_larger_need_lists_the_larger_masks():
+    # a larger need prunes the walk, and at the last level skips the
+    # directions no line through which holds more than need columns, but
+    # drops no mask holding more, nor reorders or changes the bases
+    rng = random.Random(405)
+    codes = [dense_global_code(6), proportional_rows_code()]
+    codes += [blrc_15_10_w3(), blrc_16_10_w3(), blrc_16_10_w2()]
+    codes += [code for code, _ in itertools.islice(small_alphabet_codes(), 6)]
+    for _ in range(4):
+        k, r = rng.randrange(6, 10), rng.randrange(4, 7)
+        rows = [[int(rng.random() < 0.5) for _ in range(r)] for _ in range(k)]
+        codes.append(SystematicCode(GfMatrix(rows, GF256)))
+    dropped = 0
+    for code in codes:
+        _, dirs = _directions(code)
+        for kappa in range(1, code.r):
+            listed = flats_above(dirs, kappa, kappa, code.field)
+            for need in range(kappa + 1, code.n):
+                larger = [item for item in listed if item[0].bit_count() > need]
+                assert flats_above(dirs, kappa, need, code.field) == larger
+                dropped += len(listed) - len(larger)
+    assert dropped > 1000
+
+
 def small_field_codes():
     """Codes over GF(4) and GF(8) from few coefficients, each with a zero
     data row (a zero parity-check column) and a scaled copy of another
@@ -244,7 +270,7 @@ def test_closed_flats_are_each_closed_flat_once_largest_first():
                         res = span.pop()[1]
                         key = tuple(field.div(x, res[lead]) for x in res)
                         want[key] = want.get(key, 0) | 1 << b
-                    classes = _outside_classes(dirs, flat, basis, field)
+                    classes = _outside_classes(dirs, nonzero & ~flat, basis, field)
                     assert classes == list(want.values()), (kappa, _bits(flat))
                     checked += 1
     assert checked > 200, checked
@@ -261,6 +287,17 @@ def _check_against_oracle(code, patterns):
         assert (plan.cost, plan.helpers) == expected, pattern
 
 
+def _check_certificates(code, patterns):
+    # the oracle's answer, certified from the generator side without
+    # trying the smaller sizes one by one
+    for pattern in patterns:
+        try:
+            helpers = minimal_repair(code, pattern).helpers
+        except UndecodableError:
+            helpers = None
+        certify_plan(code, pattern, helpers)
+
+
 def test_mds_plans_take_the_greedy_basis():
     # every coordinate flat of an MDS code has r - f columns, so no listed
     # flat is skew and the plan takes the greedy basis of the contraction:
@@ -270,7 +307,7 @@ def test_mds_plans_take_the_greedy_basis():
     triples = random.Random(14).sample(list(itertools.combinations(blocks, 3)), 30)
     patterns = [(b,) for b in blocks] + list(itertools.combinations(blocks, 2))
     patterns += triples
-    _check_against_oracle(code, patterns)
+    _check_certificates(code, patterns)
     for pattern in patterns:
         survivors = [b for b in blocks if b not in pattern]
         assert minimal_repair(code, pattern).helpers == tuple(survivors[: code.k])
@@ -298,7 +335,7 @@ def test_bundled_16_10_triples_match_oracle(code_16_10_w3, code_16_10_w2):
     rng = random.Random(1610)
     for code in (code_16_10_w3, code_16_10_w2):
         triples = list(itertools.combinations(range(1, code.n + 1), 3))
-        _check_against_oracle(code, rng.sample(triples, 40))
+        _check_certificates(code, rng.sample(triples, 40))
 
 
 def test_dense_global_pairs_and_triples_match_oracle():
@@ -424,6 +461,61 @@ def test_zero_parity_check_column_pairs_are_undecodable():
     for pair in itertools.combinations(range(1, code.n + 1), 2):
         expected = minimal_repair_all_subsets(code, pair)
         assert costs.get(pair) == (expected and expected[0]), pair
+
+
+def _coordinate_starts(code):
+    """Each decodable pair's start, by brute force: the most nonzero
+    columns zero on two rows of H on which the pair's columns are
+    independent; and the columns every pair reads before any stays
+    unfetched."""
+    cols = [code.parity_check_column(b) for b in range(1, code.n + 1)]
+    nonzero = [c for c in range(code.n) if any(cols[c])]
+    starts = {}
+    for a, b in itertools.combinations(range(code.n), 2):
+        for i, j in itertools.combinations(range(code.r), 2):
+            square = [[cols[a][i], cols[b][i]], [cols[a][j], cols[b][j]]]
+            if rank(GfMatrix(square, code.field)) == 2:
+                size = sum(1 for c in nonzero if not cols[c][i] | cols[c][j])
+                starts[a + 1, b + 1] = max(starts.get((a + 1, b + 1), 0), size)
+    return starts, len(nonzero) - 2
+
+
+def _seeded_code(n, k, w, seed):
+    spec = CodeSpec(n, k, w, GF256)
+    return assign_coefficients(random_support(spec, seed), spec, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "build, smallest_start, beaten",
+    [
+        # the bundled codes: every pair costs its start, and every start
+        # is above r - 2, so the walk lists fewer flats
+        (blrc_15_10_w3, 4, []),
+        (blrc_16_10_w3, 5, []),
+        (blrc_16_10_w2, 6, []),
+        # one pair beats its start, so the walk still runs after the starts
+        (lambda: _seeded_code(15, 10, 3, 1), 3, [(11, 13)]),
+        (lambda: _seeded_code(18, 12, 3, 5), 4, [(15, 16)]),
+        # r - 2 = 2: no starts are computed, and the walk lists lines
+        (lambda: _seeded_code(11, 7, 2, 1), 3, []),
+    ],
+    ids=["15-10-w3", "16-10-w3", "16-10-w2", "15-10-w3-s1", "18-12-w3-s5", "11-7-w2-s1"],
+)
+def test_pair_costs_from_coordinate_starts(build, smallest_start, beaten):
+    # a pair costs at most reads - its start; the walk lists only flats
+    # above the smallest start and prices the pairs it leaves at it
+    code = build()
+    starts, reads = _coordinate_starts(code)
+    assert min(starts.values()) == smallest_start
+    costs = _pair_costs(code)
+    plans = {pair: minimal_repair(code, pair) for pair in starts}
+    assert costs == {pair: plan.cost for pair, plan in plans.items()}
+    assert all(costs[pair] <= reads - start for pair, start in starts.items())
+    assert [p for p in sorted(costs) if costs[p] < reads - starts[p]] == beaten
+    checked = beaten if code.r > 4 else sorted(costs)
+    for pair in checked:
+        plan = plans[pair]
+        assert minimal_repair_all_subsets(code, pair) == (plan.cost, plan.helpers)
 
 
 def test_parity_pair_plans_match_oracle():

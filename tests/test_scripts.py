@@ -10,7 +10,9 @@ import blrc
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-@pytest.mark.parametrize("script", ["run_comparison.py", "mttdl_sweep.py"])
+@pytest.mark.parametrize(
+    "script", ["run_comparison.py", "mttdl_sweep.py", "long_codes.py"]
+)
 def test_script_help_prints_usage_and_writes_nothing(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(blrc.__file__).parents[1]))
     done = subprocess.run(

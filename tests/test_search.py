@@ -150,17 +150,18 @@ def test_hill_climb_golden_16_10():
 
 
 @pytest.mark.parametrize(
-    "config, ties",
+    "config, ties, expected_calls",
     [
-        # the seed of test_hill_climb_golden_16_10: three proposals win
-        # outright and the last loses on the double average alone
-        (SearchConfig(16, 10, 4, seed=778, max_iterations=4, restarts=1), 0),
+        # the seed of test_hill_climb_golden_16_10: every proposal wins or
+        # loses on the double average alone
+        (SearchConfig(16, 10, 4, seed=778, max_iterations=4, restarts=1), 0, 0),
         # w = 2 averages tie often; each tie needs the single average
-        (SearchConfig(11, 7, 3, seed=1, max_iterations=10, restarts=1), 6),
+        (SearchConfig(11, 7, 3, seed=1, max_iterations=10, restarts=1), 6, 7),
     ],
+    ids=["16-10-seed778", "11-7-seed1"],
 )
-def test_single_average_only_for_accepted_proposals_and_ties(
-    config, ties, monkeypatch
+def test_single_average_only_for_exact_ties(
+    config, ties, expected_calls, monkeypatch
 ):
     calls = 0
     single = search.avg_repair_bandwidth_single
@@ -172,17 +173,21 @@ def test_single_average_only_for_accepted_proposals_and_ties(
 
     monkeypatch.setattr(search, "avg_repair_bandwidth_single", counted)
     _, trace = hill_climb(config)
-    needed = []
-    tied = 0
+    needed = tied = 0
     current = math.inf
+    current_known = False  # the current code's single average is computed
     for e in trace.entries:
         if not math.isfinite(e.objective):
             continue  # no code to evaluate
-        # the initial code, or a proposal whose double average does not
-        # lose; the rest are rejected on the double average alone
-        needed.append(e.iteration == 0 or e.objective <= current)
-        tied += e.iteration > 0 and e.objective == current
+        if e.iteration > 0 and e.objective == current:
+            # an exact tie needs the candidate's single average and, the
+            # first time only, the current code's
+            tied += 1
+            needed += 1 + (not current_known)
+            current_known = True
+        elif e.accepted:
+            current_known = False  # a new current code won outright
         if e.accepted:
             current = e.objective
     assert tied == ties
-    assert calls == sum(needed) < len(needed)
+    assert calls == needed == expected_calls

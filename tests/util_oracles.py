@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's optimized paths: field
 multiplication is bit-by-bit carry-less reduction, decodability is the rank
 of surviving generator columns, and minimal repair enumerates every subset
-of the survivors in size order.
+of the survivors in size order, or certifies a claimed plan by the ranks
+of the subsets that would beat it.
 """
 
 from __future__ import annotations
@@ -53,6 +54,49 @@ def minimal_repair_all_subsets(code, erased):
             ):
                 return size, subset
     return None
+
+
+def certify_plan(code, erased, helpers) -> None:
+    """Check a claimed plan from the generator side, with no search.
+
+    helpers is the plan's helper tuple, or None when the pattern is claimed
+    undecodable.  Feasibility is monotone (a superset of a feasible helper
+    set is feasible), so a plan P is the size-ordered, lexicographically
+    first feasible subset of the survivors, as minimal_repair_all_subsets
+    returns it, exactly when P is feasible, no (|P| - 1)-subset of the
+    survivors is, and no lexicographically smaller |P|-subset is.  A
+    pattern is undecodable exactly when all survivors together are not
+    feasible.
+    """
+    erased = tuple(sorted(erased))
+    survivors = [b for b in range(1, code.n + 1) if b not in erased]
+    gcols = {b: code.generator_column(b) for b in range(1, code.n + 1)}
+
+    def feasible(subset) -> bool:
+        # the erased columns lie in the span of the subset's columns
+        cols = [gcols[h] for h in subset]
+        if not cols:
+            return False
+        with_erased = cols + [gcols[e] for e in erased]
+        return rank(GfMatrix(cols, code.field)) == rank(
+            GfMatrix(with_erased, code.field)
+        )
+
+    if helpers is None:
+        assert not feasible(survivors), erased
+        return
+    helpers = tuple(helpers)
+    assert feasible(helpers), (erased, helpers)
+    size = len(helpers)
+    if size:
+        for subset in itertools.combinations(survivors, size - 1):
+            assert not feasible(subset), (erased, subset)
+    for subset in itertools.combinations(survivors, size):
+        if subset == helpers:
+            break
+        assert not feasible(subset), (erased, subset)
+    else:
+        raise AssertionError(f"{helpers} is not a set of survivors of {erased}")
 
 
 def min_distance_by_patterns(code) -> int:

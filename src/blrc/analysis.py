@@ -123,10 +123,11 @@ from .code import (
 from .linalg import (
     Basis,
     GfMatrix,
-    flats_above,
+    _classes,
+    _flats,
+    _reduction,
     independent_prefixes,
     insert_row,
-    proportional_classes,
     rank,
 )
 
@@ -201,7 +202,7 @@ def _closed_flats(dirs, kappa: int, need: int, field):
     nest, so no closed flat lies inside an earlier one.  The flats holding
     a mask are the AND of its columns' bitsets of yielded flats.
     """
-    listed = flats_above(dirs, kappa, need, field)
+    listed = _flats(dirs, kappa, need, field)
     listed.sort(key=lambda item: item[0].bit_count(), reverse=True)
     # holders[b]: bit i is set when the i-th flat yielded holds column b
     holders = [0] * max((mask.bit_length() for _, mask in dirs), default=0)
@@ -226,15 +227,17 @@ def _outside_classes(dirs, columns: int, basis, field) -> list[int]:
     """Column masks of the proportional classes, modulo the span of basis,
     of columns (none of them in that span), in order of first appearance."""
     outside = [(d, mask & columns) for d, mask in dirs if mask & columns]
-    return list(proportional_classes(basis, outside, field).values())
+    return list(_classes(basis, outside, field).values())
 
 
 def _directions(code: SystematicCode):
     """The parity-check columns, and their proportional classes as
-    (direction, mask) pairs; bit b of a mask stands for block b + 1."""
+    (direction, mask) pairs, each direction a key of linalg's walks (bytes
+    for m <= 8); bit b of a mask stands for block b + 1."""
     cols = [code.parity_check_column(b + 1) for b in range(code.n)]
-    items = [(col, 1 << b) for b, col in enumerate(cols)]
-    return cols, list(proportional_classes((), items, code.field).items())
+    key, reduce = _reduction(code.field)
+    items = [(reduce(key(col), key(col), 0), 1 << b) for b, col in enumerate(cols)]
+    return cols, list(_classes((), items, code.field).items())
 
 
 def _zero_rows(dirs, r: int) -> tuple[int, list[int]]:

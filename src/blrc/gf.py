@@ -2,11 +2,14 @@
 
 Elements are plain integers in [0, 2^m).  A FieldSpec owns the reduction
 polynomial and the log/antilog tables; all element operations go through it.
-FieldSpec instances are immutable after construction, so a single instance
-can be shared freely across threads.
+For m <= 8 it builds, on first use, byte-translation tables that multiply a
+vector of one-byte elements by a constant in one bytes.translate call.  No
+table changes once built, so a single instance can be shared across threads.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 
 class FieldMismatchError(ValueError):
@@ -108,6 +111,24 @@ class FieldSpec:
             if order == q - 1:
                 return g
         raise AssertionError("no multiplicative generator found")
+
+    @cached_property
+    def mul_tables(self) -> list[bytes]:
+        """For m <= 8: mul_tables[c] translates x to c * x, and bytes past the
+        field to 0; c * alpha's table is c's translated by alpha's."""
+        exp, log, q = self._exp, self._log, self.order
+        alpha = bytes([exp[log[x] + 1] if x else 0 for x in range(q)]).ljust(256, b"\0")
+        tables, table = [bytes(256)] * q, bytes(range(q)).ljust(256, b"\0")
+        for c in exp[: q - 1]:
+            tables[c] = table
+            table = table.translate(alpha)
+        return tables
+
+    @cached_property
+    def div_tables(self) -> list[bytes]:
+        """For m <= 8: div_tables[c] translates x to x / c, and [0] to 0."""
+        mul, exp, log, q1 = self.mul_tables, self._exp, self._log, self.order - 1
+        return [mul[0]] + [mul[exp[q1 - log[c]]] for c in range(1, q1 + 1)]
 
     def _check(self, *elems: int) -> None:
         for a in elems:

@@ -9,11 +9,9 @@ Matrices in this package never exceed a few dozen rows, so no attention is
 paid to asymptotics.  Operations never mutate their inputs, except that
 insert_row appends to the basis it is given.
 
-proportional_classes runs a whole loop in one call, with each reducing
-row's nonzero entries held as (column, log) pairs scaled to a leading 1:
-it reduces many vectors modulo a span and groups the residuals by
-proportionality (the directions of the parity-check columns, and the
-classes outside each flat).
+proportional_classes reduces many vectors modulo a span in one call and
+groups the residuals by proportionality (the directions of the
+parity-check columns, and the classes outside each flat).
 
 independent_prefixes walks the independent increasing position tuples of
 a vector list in the quotient: each tuple carries the later vectors as
@@ -30,6 +28,12 @@ span.  At the last level it skips a direction before reducing anything
 when no line through it can hold more than the columns asked for: the
 classes zero at its pivot never merge with each other, so a line holds
 at most one of them besides the classes the direction touches.
+
+All three share one field step, _reduction(field): v + a * d scaled to 1
+at its first nonzero entry.  For m <= 8 a vector is bytes, and the step is
+two bytes.translate calls with FieldSpec's tables (file coding uses them
+too) and an XOR of wide integers; for m > 8 a vector is a tuple, reduced
+by log/antilog arithmetic.  The public functions answer tuples.
 """
 
 from __future__ import annotations
@@ -187,6 +191,52 @@ def insert_row(basis: Basis, row: Sequence[int], field: FieldSpec) -> int | None
     return None
 
 
+def _byte_reduce(field: FieldSpec):
+    """reduce over bytes: translate d by a, XOR, translate by 1 / lead."""
+    mul, div, from_bytes = field.mul_tables, field.div_tables, int.from_bytes
+
+    def reduce(v: bytes, d: bytes, a: int) -> bytes:
+        x = from_bytes(v, "big") ^ from_bytes(d.translate(mul[a]), "big")
+        # a zero x shifts to 0, and div[0] keeps it zero
+        lead = x >> (x.bit_length() - 1 & 0x7FF8)
+        return x.to_bytes(len(v), "big").translate(div[lead])
+
+    return reduce
+
+
+def _tuple_reduce(field: FieldSpec):
+    """reduce over tuples: log/antilog arithmetic on d's (index, log) pairs."""
+    exp, log, q1 = field._exp, field._log, field.order - 1
+    forms: dict = {}
+
+    def reduce(v: tuple, d: tuple, a: int) -> tuple:
+        if a:
+            pairs = forms.get(d)
+            if pairs is None:
+                pairs = forms[d] = [(j, log[y]) for j, y in enumerate(d) if y]
+            s, v = log[a], list(v)
+            for j, b in pairs:
+                v[j] ^= exp[b + s]
+        inv = q1 - log[next(filter(None, v), 0)]
+        return tuple([exp[log[y] + inv] if y else 0 for y in v])
+
+    return reduce
+
+
+def _reduction(field: FieldSpec):
+    """(key type, reduce): reduce(v, d, a) is v + a * d, d scaled to 1 at
+    its pivot, scaled to 1 at its first nonzero entry (a = 0 only scales)."""
+    if field.m <= 8:
+        return bytes, _byte_reduce(field)
+    return tuple, _tuple_reduce(field)
+
+
+def _first_nonzero(v) -> int:
+    for i, x in enumerate(v):
+        if x:
+            return i
+
+
 def proportional_classes(
     span: Sequence[Sequence[int]], items, field: FieldSpec
 ) -> dict[tuple[int, ...], int]:
@@ -198,44 +248,30 @@ def proportional_classes(
     entry, in order of first appearance.  Items whose residual is zero are
     left out.
     """
-    exp, log = field._exp, field._log
-    q1 = field.order - 1
-    reducers: list[tuple[int, list[tuple[int, int]]]] = []
-    for direction in span:
-        pivot = -1
-        pairs: list[tuple[int, int]] = []
-        for j, b in enumerate(direction):
-            if b:
-                if pivot < 0:
-                    pivot, lp = j, log[b]
-                else:
-                    pairs.append((j, (log[b] - lp) % q1))
-        reducers.append((pivot, pairs))
-    classes: dict[tuple[int, ...], int] = {}
-    for vec, rows in items:
-        if reducers:
-            vec = list(vec)
-            for pivot, pairs in reducers:
-                a = vec[pivot]
-                if a:
-                    s = log[a]
-                    vec[pivot] = 0
-                    for j, b in pairs:
-                        vec[j] ^= exp[b + s]
-        for x in vec:
-            if x:
-                break
-        else:
-            continue
-        inv = q1 - log[x]
-        key = tuple([exp[log[y] + inv] if y else 0 for y in vec])
-        classes[key] = classes.get(key, 0) | rows
+    key, reduce = _reduction(field)
+    span = [reduce(key(d), key(d), 0) for d in span]
+    items = [(reduce(key(v), key(v), 0), rows) for v, rows in items]
+    return {tuple(v): rows for v, rows in _classes(span, items, field).items()}
+
+
+def _classes(span, items, field: FieldSpec) -> dict:
+    """proportional_classes of scaled keys of _reduction(field), keyed alike."""
+    reduce = _reduction(field)[1]
+    reducers = [(_first_nonzero(d), d) for d in span]
+    classes: dict = {}
+    for v, rows in items:
+        for pivot, d in reducers:
+            a = v[pivot]
+            if a:
+                v = reduce(v, d, a)
+        if any(v):
+            classes[v] = classes.get(v, 0) | rows
     return classes
 
 
 def independent_prefixes(
     vectors: Sequence[Sequence[int]], longest: int, field: FieldSpec
-) -> Iterator[tuple[tuple[int, ...], int, dict[tuple[int, ...], int]]]:
+) -> Iterator[tuple[tuple[int, ...], int, dict]]:
     """Yield (prefix, dead, classes) for every independent increasing
     tuple of at most longest positions of vectors, in lexicographic order
     (a tuple before its extensions).
@@ -243,19 +279,18 @@ def independent_prefixes(
     dead masks the later positions whose vectors lie in the prefix's span.
     classes maps each proportional class of the other later vectors modulo
     that span to its mask, keyed by the class's residual scaled to 1 at
-    its first nonzero entry.  Adding position b of class C kills
-    (dead | C) past b.  Modulo the old span the new one adds only C's
-    direction, so reducing every other key by it alone gives the new
-    classes.  A key that is zero at the pivot of C's stays as it is, and
-    each key's (pivot, log pairs) form is built once per walk.
+    its first nonzero entry, as a key of _reduction(field): bytes for
+    m <= 8, so callers read only the masks.  Adding position b of class C
+    kills (dead | C) past b.  Modulo the old span the new one adds only
+    C's direction, so reducing every other key by it alone gives the new
+    classes, and a key that is zero at the pivot of C's stays as it is.
 
     The classes answer the next two lengths without field arithmetic:
     prefix + (b,) is independent when b lies in a class, and
     prefix + (b, c) when b < c lie in two different classes.
     """
-    exp, log = field._exp, field._log
-    q1 = field.order - 1
-    reducers: dict[tuple[int, ...], tuple[int, list[tuple[int, int]]]] = {}
+    key, reduce = _reduction(field)
+    pivots: dict = {}
 
     def expand(prefix, dead, classes):
         yield prefix, dead, classes
@@ -270,31 +305,19 @@ def independent_prefixes(
             for own, own_mask in classes.items():
                 if own_mask & low:
                     break
-            form = reducers.get(own)
-            if form is None:
-                pivot = next(j for j, x in enumerate(own) if x)
-                pairs = [(j, log[y]) for j, y in enumerate(own) if y and j > pivot]
-                form = reducers[own] = (pivot, pairs)
-            pivot, pairs = form
+            pivot = pivots.get(own)
+            if pivot is None:
+                pivot = pivots[own] = _first_nonzero(own)
             above = -(low << 1)
-            child: dict[tuple[int, ...], int] = {}
-            for key, mask in classes.items():
+            child: dict = {}
+            for v, mask in classes.items():
                 mask &= above
-                if not mask or key is own:  # own is this dict's key object
+                if not mask or v is own:  # own is this dict's key object
                     continue
-                a = key[pivot]
-                if a:
-                    v = list(key)
-                    s = log[a]
-                    v[pivot] = 0
-                    for j, b in pairs:
-                        v[j] ^= exp[b + s]
-                    for x in v:  # v is not zero: its class is not C
-                        if x:
-                            break
-                    inv = q1 - log[x]
-                    key = tuple([exp[log[y] + inv] if y else 0 for y in v])
-                child[key] = child.get(key, 0) | mask
+                a = v[pivot]
+                if a:  # v is not own's direction, so the residual is not zero
+                    v = reduce(v, own, a)
+                child[v] = child.get(v, 0) | mask
             yield from expand(
                 prefix + (low.bit_length() - 1,), (dead | own_mask) & above, child
             )
@@ -303,8 +326,8 @@ def independent_prefixes(
     for b, v in enumerate(vectors):
         if not any(v):
             dead |= 1 << b
-    items = [(v, 1 << b) for b, v in enumerate(vectors)]
-    yield from expand((), dead, proportional_classes((), items, field))
+    items = [(reduce(key(v), key(v), 0), 1 << b) for b, v in enumerate(vectors)]
+    yield from expand((), dead, _classes((), items, field))
 
 
 def flats_above(
@@ -328,21 +351,25 @@ def flats_above(
     its flat's first one lacks the earlier directions.  Masks come in walk
     order: by first direction, then by the quotient's own order.
 
-    The walk is independent_prefixes' over directions: a class whose key
-    is zero at the new direction's pivot is already its residual and keeps
-    its key, each direction's (pivot, log pairs) form is built once per
-    walk, and the lines of the last level are read off without recursing.
-    The kept keys are distinct directions, so they never merge with each
-    other: a class of the last level joins at most one of them to keys
-    nonzero at the pivot, and the last level skips d when those keys'
-    columns plus the largest kept key cannot exceed need - |d|.
+    The walk is independent_prefixes' over directions, keyed the same
+    way: a class whose key is zero at the new direction's pivot is
+    already its residual and keeps its key, and the lines of the last
+    level are read off without recursing.  The kept keys are distinct
+    directions, so they never merge with each other: a class of the last
+    level joins at most one of them to keys nonzero at the pivot, and the
+    last level skips d when those keys' columns plus the largest kept key
+    cannot exceed need - |d|.
     """
-    exp, log = field._exp, field._log
-    q1 = field.order - 1
+    return [(m, tuple(map(tuple, b))) for m, b in _flats(dirs, kappa, need, field)]
+
+
+def _flats(dirs, kappa: int, need: int, field: FieldSpec) -> list:
+    """flats_above with bases of keys of _reduction(field)."""
     if kappa == 1:
         return [(cols, (d,)) for d, cols in dirs if cols.bit_count() > need]
-    forms: dict[tuple[int, ...], tuple[int, list[tuple[int, int]]]] = {}
-    out: list[tuple[int, tuple[tuple[int, ...], ...]]] = []
+    key, reduce = _reduction(field)
+    pivots: dict = {}
+    out = []
 
     def walk(dirs, kappa, need, held, basis):
         left = 0
@@ -353,12 +380,10 @@ def flats_above(
                 break  # a later flat holds too few columns or directions
             count = cols.bit_count()
             left -= count
-            form = forms.get(d)
-            if form is None:
-                pivot = next(i for i, x in enumerate(d) if x)
-                pairs = [(i, log[y]) for i, y in enumerate(d) if y and i > pivot]
-                form = forms[d] = (pivot, pairs)
-            pivot, pairs = form
+            pivot = pivots.get(d)
+            if pivot is None:
+                pivot = pivots[d] = _first_nonzero(d)
+            later = dirs[j + 1 :]
             if kappa == 2:
                 # keys zero at the pivot keep their residual, so a class
                 # of the quotient joins at most one of them to keys
@@ -366,9 +391,9 @@ def flats_above(
                 rest = need - count
                 if rest > 0:
                     touched = kept = 0
-                    for key, mask in dirs[j + 1 :]:
+                    for v, mask in later:
                         size = mask.bit_count()
-                        if key[pivot]:
+                        if v[pivot]:
                             touched += size
                         elif size > kept:
                             kept = size
@@ -376,25 +401,16 @@ def flats_above(
                             break
                     else:
                         continue  # no line through d holds more than need
-            quotient: dict[tuple[int, ...], int] = {}
-            for key, mask in dirs[j + 1 :]:
-                a = key[pivot]
-                if a:
-                    v = list(key)
-                    s = log[a]
-                    v[pivot] = 0
-                    for i, b in pairs:
-                        v[i] ^= exp[b + s]
-                    for x in v:  # v is not zero: key is not d
-                        if x:
-                            break
-                    inv = q1 - log[x]
-                    key = tuple([exp[log[y] + inv] if y else 0 for y in v])
-                quotient[key] = quotient.get(key, 0) | mask
+            quotient: dict = {}
+            for v, mask in later:
+                a = v[pivot]
+                if a:  # v is not d, so the residual is not zero
+                    v = reduce(v, d, a)
+                quotient[v] = quotient.get(v, 0) | mask
             if kappa == 2:
-                for key, mask in quotient.items():
+                for v, mask in quotient.items():
                     if mask.bit_count() > rest:
-                        out.append((held | cols | mask, basis + (d, key)))
+                        out.append((held | cols | mask, basis + (d, v)))
             else:
                 walk(
                     list(quotient.items()),
@@ -404,7 +420,7 @@ def flats_above(
                     basis + (d,),
                 )
 
-    walk(dirs, kappa, need, 0, ())
+    walk([(key(d), cols) for d, cols in dirs], kappa, need, 0, ())
     return out
 
 

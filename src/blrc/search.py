@@ -32,8 +32,8 @@ from .code import (
 from .gf import GF256, FieldSpec
 
 # Sized so a default [16, 10] d=4 search stays well under five minutes of
-# pure-Python objective evaluations (about 2.5 ms per [16, 10] w=3
-# candidate, 0.78-0.81 s for seed 0's 333 trace entries and 1.02-1.10 s
+# pure-Python objective evaluations (about 1.5 ms per [16, 10] w=3
+# candidate, 0.48-0.49 s for seed 0's 333 trace entries and 0.63-0.64 s
 # for seed 7's 444, in CPU time on a 2-vCPU Intel Xeon VM with Python
 # 3.11).
 DEFAULT_MAX_ITERATIONS = 200

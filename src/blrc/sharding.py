@@ -4,13 +4,12 @@ from any decodable subset, and rebuild single shards from a repair plan.
 One stripe holds k consecutive payload bytes, one byte per shard (so the
 field must be GF(2^8)); the input is zero-padded to a whole number of
 stripes and the original length travels in the shard header.  Per-shard
-streams are computed with byte-translation tables and wide integer XORs,
-which keeps the per-byte work in C.
+streams are computed with the field's translate tables (FieldSpec.mul_tables)
+and wide integer XORs, which keeps the per-byte work in C.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,25 +32,18 @@ class ShardHeader:
     data_length: int
 
 
-@functools.lru_cache(maxsize=None)
-def _mul_table(field: FieldSpec, c: int) -> bytes:
-    """Translate table of x -> c * x; one per (field, coefficient), so at
-    most 255 per field."""
-    if field.m != 8:
-        raise ShardError("file sharding requires GF(2^8), one byte per block")
-    return bytes(field.mul(c, x) for x in range(256))
-
-
 def _accumulate(parts: list[tuple[int, bytes]], field: FieldSpec, length: int) -> bytes:
     """XOR-sum of coefficient * stream over all parts, summed as one wide
     integer and converted back to bytes once."""
+    if field.m != 8:
+        raise ShardError("file sharding requires GF(2^8), one byte per block")
     acc = 0
     for coeff, stream in parts:
         if coeff == 0:
             continue
         if len(stream) != length:
             raise ValueError("length mismatch")
-        term = stream if coeff == 1 else stream.translate(_mul_table(field, coeff))
+        term = stream if coeff == 1 else stream.translate(field.mul_tables[coeff])
         acc ^= int.from_bytes(term, "big")
     return acc.to_bytes(length, "big")
 
@@ -59,8 +51,6 @@ def _accumulate(parts: list[tuple[int, bytes]], field: FieldSpec, length: int) -
 def encode_stream(code: SystematicCode, data: bytes) -> list[bytes]:
     """Split data into k interleaved streams and derive the r parity
     streams; returns n payloads of equal length."""
-    if code.field.m != 8:
-        raise ShardError("file sharding requires GF(2^8), one byte per block")
     k = code.k
     stripes = (len(data) + k - 1) // k
     padded = data.ljust(stripes * k, b"\0")

@@ -162,6 +162,12 @@ def test_flats_hold_every_low_rank_row_set():
         k, r = rng.randrange(6, 9), rng.randrange(5, 7)
         rows = [[int(rng.random() < 0.5) for _ in range(r)] for _ in range(k)]
         codes.append(SystematicCode(GfMatrix(rows, GF256)))
+    # a GF(2^16) code, walked by the tuple step: small coefficients and a
+    # row scaled by a wide element
+    wide, wide_rng = FieldSpec(16, 0x1100B), random.Random(406)
+    rows = [[wide_rng.choice((0, 0, 1, 2, 3)) for _ in range(5)] for _ in range(7)]
+    rows[3] = [wide.mul(40503, x) for x in rows[0]]
+    codes.append(SystematicCode(GfMatrix(rows, wide)))
     checked = 0
     for code in codes:
         cols, dirs = _directions(code)

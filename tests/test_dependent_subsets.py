@@ -136,10 +136,11 @@ SMALL_FIELDS = (
 )
 
 
-def _small_field_code(rng):
-    """A SystematicCode over GF(2)..GF(16) whose parity matrix is 70%
-    filled, with some rows zeroed and some made multiples of others."""
-    field = rng.choice(SMALL_FIELDS)
+def _small_field_code(rng, field=None):
+    """A SystematicCode over field, by default one of GF(2)..GF(16) drawn
+    from rng, whose parity matrix is 70% filled, with some rows zeroed and
+    some made multiples of others."""
+    field = field or rng.choice(SMALL_FIELDS)
     k, r = rng.randint(2, 6), rng.randint(1, 4)
     data = [
         [rng.randrange(1, field.order) if rng.random() < 0.7 else 0
@@ -171,26 +172,33 @@ def _first_dependent_by_brute_force(vectors, max_size, field):
     return min(dependent, default=None)
 
 
+def _check_against_brute_force(code):
+    n, field = code.n, code.field
+    hcols = [code.parity_check_column(b) for b in range(1, n + 1)]
+    want = {
+        f: sum(
+            _dependent(hcols, s, field)
+            for s in itertools.combinations(range(n), f)
+        )
+        for f in range(1, n + 1)
+    }
+    for f_max in range(1, n + 1):
+        got = undecodable_counts(code, f_max)
+        assert got == {f: want[f] for f in range(1, f_max + 1)}, code.P.data
+    for vectors in (code.P.data, hcols):
+        M = GfMatrix(vectors, field)
+        for max_size in range(1, len(vectors) + 1):
+            assert _first_dependent_subset(M, max_size) == (
+                _first_dependent_by_brute_force(vectors, max_size, field)
+            ), (vectors, max_size)
+    assert minimum_distance(code) == min_distance_by_patterns(code)
+
+
 def test_small_field_codes_match_brute_force():
     rng = random.Random(20161)
     for _ in range(200):
-        code = _small_field_code(rng)
-        n, field = code.n, code.field
-        hcols = [code.parity_check_column(b) for b in range(1, n + 1)]
-        want = {
-            f: sum(
-                _dependent(hcols, s, field)
-                for s in itertools.combinations(range(n), f)
-            )
-            for f in range(1, n + 1)
-        }
-        for f_max in range(1, n + 1):
-            got = undecodable_counts(code, f_max)
-            assert got == {f: want[f] for f in range(1, f_max + 1)}, code.P.data
-        for vectors in (code.P.data, hcols):
-            M = GfMatrix(vectors, field)
-            for max_size in range(1, len(vectors) + 1):
-                assert _first_dependent_subset(M, max_size) == (
-                    _first_dependent_by_brute_force(vectors, max_size, field)
-                ), (vectors, max_size)
-        assert minimum_distance(code) == min_distance_by_patterns(code)
+        _check_against_brute_force(_small_field_code(rng))
+    # GF(2^16) codes, walked by the tuple step, with scaled-copy rows
+    rng, wide = random.Random(20162), FieldSpec(16, 0x1100B)
+    for _ in range(40):
+        _check_against_brute_force(_small_field_code(rng, wide))

@@ -53,6 +53,20 @@ def test_mul_table_matches_carryless_reference():
             assert GF256.mul(a, b) == clmul_reduce(a, b, DEFAULT_POLY, 8)
 
 
+def test_translate_tables_match_field_arithmetic():
+    # one table per constant, built once per instance; bytes outside the
+    # field map to 0, and so does every byte under div_tables[0]
+    for field in (FieldSpec(1, 0b11), FieldSpec(4, 0b10011), GF256):
+        q, mul, div = field.order, field.mul_tables, field.div_tables
+        assert field.mul_tables is mul and len(mul) == len(div) == q
+        for c in range(q):
+            assert list(mul[c][:q]) == [field.mul(c, x) for x in range(q)]
+            assert not any(mul[c][q:])
+            if c:
+                assert list(div[c][:q]) == [field.div(x, c) for x in range(q)]
+        assert not any(div[0])
+
+
 @given(a=elem, b=elem, c=elem)
 def test_field_axioms(a, b, c):
     f = GF256

@@ -8,6 +8,9 @@ from blrc.gf import GF256, FieldSpec
 from blrc.linalg import (
     GfMatrix,
     SingularMatrixError,
+    _byte_reduce,
+    _reduction,
+    _tuple_reduce,
     insert_row,
     proportional_classes,
     rank,
@@ -195,6 +198,50 @@ def test_proportional_classes_match_insert_row(data, picks, scale):
     got = proportional_classes(span, items, field)
     want = _classes_by_insert_row(span, items, field)
     assert list(got.items()) == list(want.items())
+
+
+BYTE_FIELDS = (FieldSpec(1, 0b11), FieldSpec(2, 0b111), FieldSpec(4, 0b10011), GF256)
+
+
+@st.composite
+def reduction_cases(draw):
+    """(field, direction, key): a nonzero direction scaled to 1 at its
+    first nonzero entry, as the walks hold one, and a key of its length
+    that is often zero at that pivot or zero altogether."""
+    field = draw(st.sampled_from(BYTE_FIELDS))
+    cols = draw(st.integers(1, 8))
+    entries = st.sampled_from([0, 0, 1, field.order - 1]) | st.integers(
+        0, field.order - 1
+    )
+    vec = st.lists(entries, min_size=cols, max_size=cols)
+    d = draw(vec.filter(any))
+    lead = next(x for x in d if x)
+    return field, [field.div(x, lead) for x in d], draw(vec)
+
+
+@given(case=reduction_cases())
+@settings(max_examples=300, deadline=None)
+def test_byte_and_tuple_reductions_agree(case):
+    # the byte step must give the tuple step's normalized residual for
+    # every field it serves, and both must equal v + a * d scaled by the
+    # field's own arithmetic; a = 0 only scales, and zero stays zero
+    field, d, v = case
+    pivot = next(i for i, x in enumerate(d) if x)
+    by_bytes, by_tuples = _byte_reduce(field), _tuple_reduce(field)
+    for a in (v[pivot], 0, 1):
+        total = [x ^ field.mul(a, y) for x, y in zip(v, d)]
+        lead = next((x for x in total if x), 1)
+        want = tuple(field.div(x, lead) for x in total)
+        got = by_bytes(bytes(v), bytes(d), a)
+        assert type(got) is bytes and tuple(got) == want
+        assert by_tuples(tuple(v), tuple(d), a) == want
+    # the selection: bytes for m <= 8, so a fallback to tuples fails here
+    key, reduce = _reduction(field)
+    assert key is bytes
+    assert type(reduce(bytes(v), bytes(d), v[pivot])) is bytes
+    key, reduce = _reduction(KERNEL_FIELDS[-1])  # GF(2^16)
+    assert key is tuple
+    assert type(reduce(tuple(v), tuple(d), v[pivot])) is tuple
 
 
 def test_span_coefficients_zero_and_members():

@@ -1,0 +1,150 @@
+"""Print one digest line per section of the library's answers, to check
+that a change leaves every number bit-identical.
+
+Run it on two source trees and compare the lines:
+
+    PYTHONPATH=src python scripts/value_dump.py
+
+It uses only the public API, so it runs unchanged on any tree that has
+it.  The sections are:
+
+  averages  both repair averages of a fixed list of codes: the bundled
+            codes, Reed-Solomon, the Azure layout, 3-replication, seeded
+            random codes for r = 2..8, three long codes, a GF(2^16) code
+            and a code with a zero parity-check column;
+  plans     every single and pair plan of those codes with n <= 18;
+  reports   build_report of the bundled and reference codes;
+  search    hill_climb codes and traces: the default [16,10] d=4 search
+            with seeds 0 and 7, and 15 short configurations.
+"""
+
+import argparse
+import hashlib
+import itertools
+
+from blrc import (
+    CodeSpec,
+    ConstructionError,
+    FieldSpec,
+    GfMatrix,
+    SystematicCode,
+    UndecodableError,
+    assign_coefficients,
+    avg_repair_bandwidth_double,
+    avg_repair_bandwidth_single,
+    build_report,
+    minimal_repair,
+)
+from blrc.gf import GF256
+from blrc.presets import blrc_15_10_w3, blrc_16_10_w2, blrc_16_10_w3
+from blrc.refcodes import (
+    build_azure_lrc,
+    build_replication,
+    build_rs,
+    build_xorbas_lrc,
+)
+from blrc.search import SearchConfig, hill_climb, random_support
+
+SHAPES = (
+    (8, 6, 1), (8, 6, 2), (12, 10, 2),
+    (9, 6, 2), (10, 7, 3), (12, 9, 2),
+    (11, 7, 2), (12, 8, 3), (14, 10, 4),
+    (13, 8, 4), (14, 9, 2), (15, 10, 3),
+    (16, 10, 2), (16, 10, 3), (18, 12, 3),
+    (17, 10, 3), (19, 12, 4), (20, 12, 3),
+)
+SEEDS = 10
+LONG_SHAPES = ((28, 20, 3), (32, 24, 3), (30, 20, 2))
+SHORT_SEARCHES = (
+    (11, 7, 3), (12, 8, 3), (14, 10, 3), (15, 10, 4), (16, 10, 3),
+)
+
+
+def _codes():
+    """(label, code) for every code of the averages section."""
+
+    def seeded(shape, seed, field=GF256):
+        spec = CodeSpec(*shape, field)
+        try:
+            return assign_coefficients(random_support(spec, seed), spec, seed=seed)
+        except ConstructionError:
+            return None
+
+    for build in (blrc_15_10_w3, blrc_16_10_w3, blrc_16_10_w2):
+        yield build.__name__, build()
+    refs = (build_rs(14, 10), build_rs(9, 6), build_azure_lrc(), build_replication())
+    for ref in refs:
+        yield ref.label, ref.code
+    zero_column = GfMatrix([[1, 1], [0, 0], [1, 2]], GF256)
+    yield "zero column", SystematicCode(zero_column)
+    yield "GF(2^16) [12,8] w=3", seeded((12, 8, 3), 1, FieldSpec(16, 0x1100B))
+    for shape in SHAPES:
+        for seed in range(SEEDS):
+            code = seeded(shape, seed)
+            if code is not None:
+                yield f"{shape} seed {seed}", code
+    for shape in LONG_SHAPES:
+        yield f"{shape} seed 1", seeded(shape, 1)
+
+
+def _outcome(call, *args):
+    """call(*args), or the pattern of the UndecodableError it raised."""
+    try:
+        return call(*args)
+    except UndecodableError as exc:
+        return ("undecodable", exc.pattern)
+
+
+def sections():
+    """Yield (name, lines) for every section."""
+    codes = list(_codes())
+    yield "averages", [
+        (
+            label,
+            _outcome(avg_repair_bandwidth_single, code),
+            _outcome(avg_repair_bandwidth_double, code),
+        )
+        for label, code in codes
+    ]
+    plans = []
+    for label, code in codes:
+        if code.n <= 18:
+            blocks = range(1, code.n + 1)
+            patterns = [(b,) for b in blocks]
+            patterns += itertools.combinations(blocks, 2)
+            plans += [(label, _outcome(minimal_repair, code, p)) for p in patterns]
+    yield "plans", plans
+    bundled = (blrc_15_10_w3, blrc_16_10_w3, blrc_16_10_w2)
+    reports = [(build.__name__, build_report(build())) for build in bundled]
+    refs = [build_rs(14, 10), build_azure_lrc(), build_xorbas_lrc()]
+    refs.append(build_replication())
+    reports += [(ref.label, ref.report, ref.structural_report) for ref in refs]
+    yield "reports", reports
+    configs = [SearchConfig(16, 10, 4, seed=seed) for seed in (0, 7)]
+    for (n, k, d), seed in itertools.product(SHORT_SEARCHES, range(3)):
+        configs.append(
+            SearchConfig(n, k, d, seed=seed, max_iterations=12, patience=6, restarts=2)
+        )
+    searches = []
+    for config in configs:
+        code, trace = hill_climb(config)
+        searches.append((config, code.P.data, trace.entries))
+    yield "search", searches
+
+
+def run() -> None:
+    for name, lines in sections():
+        digest = hashlib.sha256()
+        for line in lines:
+            digest.update(repr(line).encode() + b"\n")
+        print(name, digest.hexdigest()[:16])
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.parse_args(argv)
+    run()
+
+
+if __name__ == "__main__":
+    main()

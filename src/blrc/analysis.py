@@ -27,44 +27,37 @@ cost(E).  Two lines prove the bound:
   * no nonzero combination of E's columns vanishes on J, so none lies in
     that subspace: the flat is skew to E.
 
-For a single block J is one row covering it (its local group's repair),
-so a block starts at the largest such flat among the rows covering it.
-A pair starts at the largest such flat among the row pairs on which its
-columns are independent.  One linalg.flats_above walk lists every flat
-of the rank r - |E| holding more columns than need, the smallest start,
-each with an echelon basis of its span, some of them partly (a flat
-found from a later direction lacks its earlier ones).  _closed_flats
-walks them largest first and tells the closed ones by containment alone:
+Both averages price every pattern of f = 1 or 2 blocks in one walk,
+_pattern_costs(code, f), over the flats of rank r - f: linalg._flats
+lists those holding more columns than need, the smallest start, each
+with an echelon basis of its span, some of them partly (a flat found from
+a later direction lacks its earlier ones).  _closed_flats walks them
+largest first and tells the closed ones by containment alone:
 
   * a partial mask M lies inside cl(M), a flat of the same rank with more
     columns, so cl(M) is listed and sorts before M;
   * two closed flats of one rank never nest, so no closed flat lies inside
     an earlier one.
 
-So a mask is skipped exactly when it lies inside a flat already walked,
-with no field arithmetic.  The columns outside a flat split into
-proportional classes modulo its span: every column outside a hyperplane
-is skew to it (the quotient is a line), and a pair from two different
-classes is skew to a flat of rank r - 2.  So each block or pair is priced
-at the first flat it is skew to.  Only the pairs need the classes, which
-come from the basis the walk carries, and only for the columns of the
-pairs still open outside the flat; a flat with none is passed over.
+It lists hyperplanes with the parity columns first (the directions in
+reverse order), so their walk starts from unit directions: that measured
+faster for them, and slower for the rank r - 2 listing.  The columns
+outside a flat split into proportional classes modulo its span, one
+outside a hyperplane (the quotient is a line).  A pattern (a, b), b >= a
+and a lone block being (a, a), is skew to the flat when b lies in another
+class than a or is a itself, and it is priced at the first flat it is
+skew to.
 
-A block or pair the walk leaves open costs reads - need, reads being
-the nonzero columns other than its own: a start above need is a listed
-flat skew to it, so its start is need, and no larger flat is skew to
-it.  The smallest pair start comes from the row pairs of H, walked from
-the largest coordinate flat down: each splits the columns nonzero on
-its two rows by their direction on those rows and settles the pairs
-across two classes, and need is the size at which the last pair
-settles.  need prunes only the inner levels of the walk, so below
-r - 2 = 3, where the walk is one level of lines, the pairs keep
-need = r - 2.
-
-The hyperplanes are listed with the parity columns first (the directions
-in reverse order), so their walk starts from unit directions; that
-measured faster for them, and slower for the rank r - 2 listing, which
-keeps index order.
+A pattern the walk leaves open costs reads - need, reads being the
+nonzero columns other than its own: a start above need is a listed flat
+skew to it, so its start is need, and no larger flat is skew to it.
+need comes from the f-row sets of H, walked from the largest coordinate
+flat down: each keys the directions by their ratio on its first and last
+rows (one row when f = 1) and settles the patterns it keeps independent,
+a lone direction nonzero there or two of different keys; need is the
+size at which the last pattern settles.  Below r - f = 3, where the
+walk is one level of lines, need stays r - f: there the pair start
+measured slower than what it pruned.
 
 The decodability census counts the undecodable f-subsets, those with
 dependent parity-check columns, as comb(n, f) less the independent ones.
@@ -78,18 +71,16 @@ walk stops two columns short of the largest size counted.
 minimum_distance and the rank condition read their first dependent
 subsets from the same walk.
 
-minimal_repair answers one pattern E from the same flats: its helpers
-are the nonzero surviving columns outside the largest flat of rank
-r - |E| skew to E.  The plan starts at the largest coordinate flat of E,
-and _closed_flats lists the flats of that rank holding at least as many
-columns and more than r - |E|, so flats tied with the start are listed
-too; the first one skew to E, a rank test on its carried basis with E's
-columns, sets the size.
-Ties go to the lexicographically least helper tuple.  Two flats of one
-size leave helper sets of one size, and the least block telling the
-flats apart tells the helper sets apart too; the helper set holding it
-is the lesser, so the flat lacking it wins: the lexicographically
-greatest flat as a sorted block tuple.
+minimal_repair answers one pattern E, of any size, from the same flats:
+its helpers are the nonzero surviving columns outside the largest flat
+of rank r - |E| skew to E.  It starts at the largest coordinate flat of
+E and lists the flats holding at least as many columns, and more than
+r - |E|; the first one skew to E, a rank test on its carried basis with
+E's columns, sets the size.  Ties go to the lexicographically least
+helper tuple.  Two flats of one size leave helper sets of one size, and
+the least block telling the flats apart tells the helper sets apart too;
+the helper set holding it is the lesser, so the flat lacking it wins:
+the lexicographically greatest flat as a sorted block tuple.
 
 When no listed flat is skew, every coordinate flat has exactly r - |E|
 columns (as in an MDS code), and so does every skew flat: with E it is a
@@ -116,6 +107,7 @@ from .code import (
     BlrcCode,
     SystematicCode,
     UndecodableError,
+    decodable,
     minimum_distance,
     recovery_coefficients,
     update_complexity,
@@ -193,15 +185,12 @@ def normalize_pattern(code: SystematicCode, erased) -> ErasurePattern:
 
 def _closed_flats(dirs, kappa: int, need: int, field):
     """(mask, basis) of every closed kappa-flat of dirs holding more than
-    need columns, largest first, with basis its span in echelon order.
-
-    A mask is skipped when it lies inside a flat already yielded, which
-    is exactly when flats_above listed it without part of its flat: the
-    closure of a partial mask M is a kappa-flat with more columns than M,
-    so it is listed and sorts before M; and two closed kappa-flats never
-    nest, so no closed flat lies inside an earlier one.  The flats holding
-    a mask are the AND of its columns' bitsets of yielded flats.
-    """
+    need columns, largest first, with basis its span in echelon order;
+    hyperplanes with the parity columns first.  A listed mask is skipped
+    when it lies inside a flat already yielded (see the module docstring):
+    the flats holding it are the AND of its columns' bitsets of them."""
+    if kappa == len(dirs[0][0]) - 1:
+        dirs = dirs[::-1]
     listed = _flats(dirs, kappa, need, field)
     listed.sort(key=lambda item: item[0].bit_count(), reverse=True)
     # holders[b]: bit i is set when the i-th flat yielded holds column b
@@ -225,7 +214,10 @@ def _closed_flats(dirs, kappa: int, need: int, field):
 
 def _outside_classes(dirs, columns: int, basis, field) -> list[int]:
     """Column masks of the proportional classes, modulo the span of basis,
-    of columns (none of them in that span), in order of first appearance."""
+    of columns (none of them in that span), in order of first appearance.
+    Outside a hyperplane they are one class: the quotient is a line."""
+    if len(basis) == len(dirs[0][0]) - 1:
+        return [columns]
     outside = [(d, mask & columns) for d, mask in dirs if mask & columns]
     return list(_classes(basis, outside, field).values())
 
@@ -253,137 +245,120 @@ def _zero_rows(dirs, r: int) -> tuple[int, list[int]]:
     return nonzero, zero_in
 
 
-def _single_costs(code: SystematicCode) -> list[int]:
-    """Minimal repair cost of every single block, from the hyperplanes of
-    the parity-check columns (see the module docstring)."""
-    n, r = code.n, code.r
-    cols, dirs = _directions(code)
-    for b, col in enumerate(cols):
-        if not any(col):
-            raise UndecodableError((b + 1,))
-    # held[b]: nonzero columns of the largest hyperplane known skew to b,
-    # starting at the rows of H that cover b
-    held = [0] * n
-    for j in range(r):
-        covered = [b for b in range(n) if cols[b][j]]
-        for b in covered:
-            held[b] = max(held[b], n - len(covered))
-    if r > 1:
-        open_ = (1 << n) - 1
-        # parity columns first: the walk starts from unit directions
-        for flat, _ in _closed_flats(dirs[::-1], r - 1, min(held), code.field):
-            size = flat.bit_count()
-            for b in _bits(open_ & ~flat):
-                held[b] = max(held[b], size)
-            open_ &= flat
-            if not open_:
-                break
-    return [n - 1 - h for h in held]
-
-
-def avg_repair_bandwidth_single(code: SystematicCode) -> float:
-    """Mean minimal repair cost over all n single-block erasures."""
-    return sum(_single_costs(code)) / code.n
-
-
-def _smallest_pair_start(dirs, r: int, field) -> int:
-    """The fewest columns in the largest coordinate flat of any pair of
-    columns in two different directions (see the module docstring).  The
-    row pairs of H are walked from the largest coordinate flat down; each
-    settles the pairs of directions it splits into two different
-    directions on its two rows, and some row pair splits every pair."""
-    log, q1 = field._log, field.order - 1
-    nonzero, zero_in = _zero_rows(dirs, r)
-    row_pairs = sorted(
-        (
-            ((nonzero & zero_in[i] & zero_in[j]).bit_count(), i, j)
-            for i, j in itertools.combinations(range(r), 2)
-        ),
-        reverse=True,
+def _smallest_start(dirs, f: int, unsettled: list[int], field) -> int:
+    """need for the patterns of f <= 2 directions, unsettled[p] holding
+    bit q for each one of direction p with direction q (bit p for p
+    alone): the fewest columns in any pattern's largest coordinate flat
+    (see the module docstring)."""
+    log, q1, r = field._log, field.order - 1, len(dirs[0][0])
+    zero_in = _zero_rows(dirs, r)[1]
+    row_sets = sorted(
+        ((zero_in[rows[0]] & zero_in[rows[-1]]).bit_count(), rows[0], rows[-1])
+        for rows in itertools.combinations(range(r), f)
     )
-    # unsettled[p]: bit q is set for each later direction q whose pair
-    # with direction p is not yet split
-    unsettled = [-(2 << p) & ((1 << len(dirs)) - 1) for p in range(len(dirs))]
-    need = r - 2  # no coordinate flat holds fewer columns
-    for size, i, j in row_pairs:
+    need = r - f  # no coordinate flat holds fewer columns
+    for size, i, j in reversed(row_sets):
         if size == need:
-            break  # the pairs still open start at r - 2
-        # each direction's direction on rows i and j, keyed by log(y / x)
-        keys = []
+            break  # the patterns still open start at r - f
+        # each direction's ratio on rows i and j, as log(y / x)
         classes: dict[int, int] = {}
         unseen = 0
-        for p, (d, _) in enumerate(dirs):
+        bit = 1  # bit p stands for direction p
+        for d, _ in dirs:
             x, y = d[i], d[j]
             if x:
                 key = (log[y] - log[x]) % q1 if y else -1
             elif y:
                 key = -2
             else:
-                unseen |= 1 << p
-                keys.append(None)
+                unseen |= bit
+                bit <<= 1
                 continue
-            keys.append(key)
-            classes[key] = classes.get(key, 0) | 1 << p
-        for p, key in enumerate(keys):
-            if key is not None:
-                unsettled[p] &= classes[key] | unseen
+            classes[key] = classes.get(key, 0) | bit
+            bit <<= 1
+        for mask in classes.values():
+            keep = mask | unseen
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                unsettled[low.bit_length() - 1] &= keep & ~low
         if not any(unsettled):
             return size
     return need
 
 
-def _pair_costs(code: SystematicCode) -> dict[tuple[int, int], int]:
-    """Minimal joint repair cost of every decodable block pair, from the
-    flats of the parity-check columns (see the module docstring)."""
-    n, rho = code.n, code.r - 2
+def _pattern_costs(code: SystematicCode, f: int) -> dict[tuple[int, int], int]:
+    """Minimal repair cost of every decodable pattern of f = 1 or 2 blocks,
+    keyed (a, b) with a <= b and a lone block a as (a, a), from the flats
+    of rank r - f of the parity-check columns (see the module docstring)."""
+    n, kappa, field = code.n, code.r - f, code.field
     _, dirs = _directions(code)
-    nonzero = 0
-    for _, mask in dirs:
-        nonzero |= mask
-    # open_[a]: the blocks b > a whose pair with a is decodable and
-    # unpriced; live: the blocks a with open_[a] nonzero
+    nonzero = sum(mask for _, mask in dirs)  # the directions' masks are disjoint
+    # open_[a]: the blocks b >= a whose pattern with a is decodable and
+    # unpriced; unsettled[p]: likewise over the directions, for the start;
+    # live: the blocks a with open_[a] nonzero
     open_ = [0] * n
-    live = 0
-    for _, mask in dirs:
-        for a in _bits(mask):
-            open_[a] = nonzero & ~mask & -(2 << a)
-            if open_[a]:
-                live |= 1 << a
-    # a pair reads every nonzero column but its own and the unfetched ones
-    reads = nonzero.bit_count() - 2
-    need = rho  # no start holds fewer columns
-    # need prunes only the inner levels: at r - 2 = 2 the walk is lines
-    if rho >= 3 and live:
-        need = _smallest_pair_start(dirs, code.r, code.field)
+    if f == 1:
+        for a in _bits(nonzero):
+            open_[a] = 1 << a
+        unsettled = [1 << p for p in range(len(dirs))]
+    else:
+        for _, mask in dirs:
+            for a in _bits(mask):
+                open_[a] = nonzero & ~mask & -(2 << a)
+        unsettled = [-(2 << p) & ((1 << len(dirs)) - 1) for p in range(len(dirs))]
+    live = sum(1 << a for a, mask in enumerate(open_) if mask)
+    # a pattern reads every nonzero column but its own and the unfetched ones
+    reads = nonzero.bit_count() - f
+    need = kappa  # no start holds fewer columns
+    if kappa >= 3 and live:  # below 3 the walk is lines
+        need = _smallest_start(dirs, f, unsettled, field)
     costs = {}
-    if rho > 0 and live:
-        for flat, basis in _closed_flats(dirs, rho, need, code.field):
-            # the columns of the pairs still open outside the flat
+    if kappa > 0 and live:
+        for flat, basis in _closed_flats(dirs, kappa, need, field):
+            # the columns of the patterns still open outside the flat
             pending = 0
-            for a in _bits(live & ~flat):
-                hit = open_[a] & ~flat
+            outside = live & ~flat
+            while outside:
+                low = outside & -outside
+                outside ^= low
+                hit = open_[low.bit_length() - 1] & ~flat
                 if hit:
-                    pending |= 1 << a | hit
+                    pending |= low | hit
             if not pending:
                 continue
             cost = reads - flat.bit_count()
-            for mask in _outside_classes(dirs, pending, basis, code.field):
+            for mask in _outside_classes(dirs, pending, basis, field):
+                # a pattern is skew to the flat when its other block lies
+                # in another class, or is the block itself
                 skew = pending & ~mask
                 for a in _bits(mask & live):
-                    hit = open_[a] & skew
+                    hit = open_[a] & (skew | 1 << a)
                     if hit:
                         open_[a] ^= hit
                         if not open_[a]:
                             live ^= 1 << a
-                        for b in _bits(hit):
-                            costs[a + 1, b + 1] = cost
+                        while hit:
+                            low = hit & -hit
+                            hit ^= low
+                            costs[a + 1, low.bit_length()] = cost
             if not live:
                 break
-    # a pair left open starts at need: a larger start is a listed flat
-    for a, mask in enumerate(open_):
-        for b in _bits(mask):
+    # a pattern left open starts at need: a larger start is a listed flat
+    for a in _bits(live):
+        for b in _bits(open_[a]):
             costs[a + 1, b + 1] = reads - need
     return costs
+
+
+def avg_repair_bandwidth_single(code: SystematicCode) -> float:
+    """Mean minimal repair cost over all n single-block erasures; raises
+    UndecodableError for the first block with a zero parity-check column."""
+    costs = _pattern_costs(code, 1)
+    lost = [b for b in range(1, code.n + 1) if (b, b) not in costs]
+    if lost:
+        raise UndecodableError((lost[0],))
+    return sum(costs.values()) / code.n
 
 
 def minimal_repair(code: SystematicCode, erased) -> RepairPlan:
@@ -398,11 +373,11 @@ def minimal_repair(code: SystematicCode, erased) -> RepairPlan:
     erased = normalize_pattern(code, erased)
     if not erased:
         return RepairPlan((), (), 0)
+    if not decodable(code, erased):
+        raise UndecodableError(erased)
     r, f, field = code.r, len(erased), code.field
     cols, dirs = _directions(code)
     e_cols = [cols[b - 1] for b in erased]
-    if rank(GfMatrix(e_cols, field)) < f:
-        raise UndecodableError(erased)
     lost = sum(1 << (b - 1) for b in erased)
     # the largest coordinate flat: the nonzero columns zero on f rows on
     # which E is independent
@@ -475,7 +450,7 @@ def avg_repair_bandwidth_double(code: SystematicCode) -> DoubleRepairStats:
     (possible only when the distance is below 3) are excluded from the mean
     and counted separately; when none is decodable the mean is NaN.
     """
-    costs = _pair_costs(code)
+    costs = _pattern_costs(code, 2)
     pairs = len(costs)
     mean = sum(costs.values()) / pairs if pairs else math.nan
     return DoubleRepairStats(mean, pairs, math.comb(code.n, 2) - pairs)

@@ -237,11 +237,7 @@ def validate(P: GfMatrix, spec: CodeSpec) -> ValidationReport:
 
     clauses = []
 
-    bad_rows = [
-        i + 1
-        for i, row in enumerate(P.data)
-        if sum(1 for x in row if x) != spec.w
-    ]
+    bad_rows, bad_cols, heavy = _census(support_of(P), spec)
     clauses.append(
         ClauseResult(
             "row_weights",
@@ -249,13 +245,6 @@ def validate(P: GfMatrix, spec: CodeSpec) -> ValidationReport:
             "" if not bad_rows else f"rows with weight != {spec.w}: {bad_rows}",
         )
     )
-
-    col_weights = [
-        sum(1 for i in range(spec.k) if P.data[i][j]) for j in range(spec.r)
-    ]
-    bad_cols = [
-        j + 1 for j, cw in enumerate(col_weights) if cw not in (spec.l, spec.l + 1)
-    ]
     clauses.append(
         ClauseResult(
             "column_weights",
@@ -265,8 +254,6 @@ def validate(P: GfMatrix, spec: CodeSpec) -> ValidationReport:
             else f"columns outside {{{spec.l}, {spec.l + 1}}}: {bad_cols}",
         )
     )
-
-    heavy = sum(1 for cw in col_weights if cw == spec.l + 1)
     census_ok = not bad_cols and heavy == spec.heavy_columns
     clauses.append(
         ClauseResult(
@@ -290,25 +277,37 @@ def validate(P: GfMatrix, spec: CodeSpec) -> ValidationReport:
     return ValidationReport(tuple(clauses))
 
 
-def check_support(support: SupportPattern, spec: CodeSpec) -> list[str]:
-    """Return the list of violated support invariants (empty when valid)."""
-    problems = []
-    if len(support) != spec.k:
-        problems.append(f"{len(support)} rows, expected {spec.k}")
-        return problems
-    for i, cols in enumerate(support):
-        if len(set(cols)) != spec.w or any(not 0 <= j < spec.r for j in cols):
-            problems.append(f"row {i + 1} does not mark exactly {spec.w} columns")
+def _census(
+    support: SupportPattern, spec: CodeSpec
+) -> tuple[list[int], list[int], int]:
+    """(bad rows, bad columns, heavy) of a support with spec.k rows: the
+    1-based rows not marking exactly w distinct columns of range(r), the
+    1-based columns whose marks are not l or l + 1, and the number of
+    columns with l + 1 marks."""
+    bad_rows = [
+        i + 1
+        for i, cols in enumerate(support)
+        if len(set(cols)) != spec.w or any(not 0 <= j < spec.r for j in cols)
+    ]
     weights = [0] * spec.r
     for cols in support:
         for j in cols:
             if 0 <= j < spec.r:
                 weights[j] += 1
-    bad = [j + 1 for j, cw in enumerate(weights) if cw not in (spec.l, spec.l + 1)]
-    if bad:
-        problems.append(f"columns with weight outside {{l, l+1}}: {bad}")
+    bad_cols = [j + 1 for j, cw in enumerate(weights) if cw not in (spec.l, spec.l + 1)]
     heavy = sum(1 for cw in weights if cw == spec.l + 1)
-    if not bad and heavy != spec.heavy_columns:
+    return bad_rows, bad_cols, heavy
+
+
+def check_support(support: SupportPattern, spec: CodeSpec) -> list[str]:
+    """Return the list of violated support invariants (empty when valid)."""
+    if len(support) != spec.k:
+        return [f"{len(support)} rows, expected {spec.k}"]
+    bad_rows, bad_cols, heavy = _census(support, spec)
+    problems = [f"row {i} does not mark exactly {spec.w} columns" for i in bad_rows]
+    if bad_cols:
+        problems.append(f"columns with weight outside {{l, l+1}}: {bad_cols}")
+    elif heavy != spec.heavy_columns:
         problems.append(
             f"{heavy} columns of weight l+1, expected {spec.heavy_columns}"
         )

@@ -95,7 +95,6 @@ def read_code_text(text: str) -> tuple[BlrcCode, dict[str, str]]:
 
     rows: list[list[int]] = []
     meta: dict[str, str] = {}
-    meta_order: list[str] = []
     for lineno in range(pos, len(lines)):
         line = lines[lineno].strip()
         if not line:
@@ -105,7 +104,6 @@ def read_code_text(text: str) -> tuple[BlrcCode, dict[str, str]]:
             if len(parts) < 3:
                 raise CodeFileError(f"line {lineno + 1}: bad meta line")
             meta[parts[1]] = parts[2]
-            meta_order.append(parts[1])
             continue
         try:
             row = [int(tok, 16) for tok in line.split()]

@@ -9,9 +9,9 @@ Matrices in this package never exceed a few dozen rows, so no attention is
 paid to asymptotics.  Operations never mutate their inputs, except that
 insert_row appends to the basis it is given.
 
-proportional_classes reduces many vectors modulo a span in one call and
-groups the residuals by proportionality (the directions of the
-parity-check columns, and the classes outside each flat).
+_classes reduces many vectors modulo a span in one call and groups the
+residuals by proportionality (the directions of the parity-check
+columns, and the classes outside each flat).
 
 independent_prefixes walks the independent increasing position tuples of
 a vector list in the quotient: each tuple carries the later vectors as
@@ -19,7 +19,7 @@ proportional classes modulo its span, so growing it by one vector reduces
 every class by that one direction.  The decodability census, the minimum
 distance and the rank condition all read their dependent subsets from it.
 
-flats_above is the same walk over the directions of the parity-check
+_flats is the same walk over the directions of the parity-check
 columns, for the repair averages: a flat found from its first direction
 is that direction with a flat of the quotient by it, so it reduces only
 the classes that are nonzero at the new direction's pivot, and it hands
@@ -33,7 +33,8 @@ All three share one field step, _reduction(field): v + a * d scaled to 1
 at its first nonzero entry.  For m <= 8 a vector is bytes, and the step is
 two bytes.translate calls with FieldSpec's tables (file coding uses them
 too) and an XOR of wide integers; for m > 8 a vector is a tuple, reduced
-by log/antilog arithmetic.  The public functions answer tuples.
+by log/antilog arithmetic.  _classes and _flats take and answer these
+keys, which the repair code in analysis holds.
 """
 
 from __future__ import annotations
@@ -237,25 +238,16 @@ def _first_nonzero(v) -> int:
             return i
 
 
-def proportional_classes(
-    span: Sequence[Sequence[int]], items, field: FieldSpec
-) -> dict[tuple[int, ...], int]:
+def _classes(span, items, field: FieldSpec) -> dict:
     """Split (vector, row mask) items by their residual modulo the span of
     span, nonzero vectors in echelon order (each zero at the first nonzero
     column of every earlier one, as the rows of a Basis are; empty for the
     zero span): the union of the row masks of each class of proportional
     residuals, keyed by the residual scaled to 1 at its first nonzero
     entry, in order of first appearance.  Items whose residual is zero are
-    left out.
+    left out.  Every vector is a key of _reduction(field) scaled to 1 at
+    its first nonzero entry, and the classes are keyed alike.
     """
-    key, reduce = _reduction(field)
-    span = [reduce(key(d), key(d), 0) for d in span]
-    items = [(reduce(key(v), key(v), 0), rows) for v, rows in items]
-    return {tuple(v): rows for v, rows in _classes(span, items, field).items()}
-
-
-def _classes(span, items, field: FieldSpec) -> dict:
-    """proportional_classes of scaled keys of _reduction(field), keyed alike."""
     reduce = _reduction(field)[1]
     reducers = [(_first_nonzero(d), d) for d in span]
     classes: dict = {}
@@ -330,13 +322,11 @@ def independent_prefixes(
     yield from expand((), dead, _classes((), items, field))
 
 
-def flats_above(
-    dirs: Sequence[tuple[tuple[int, ...], int]], kappa: int, need: int, field: FieldSpec
-) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
+def _flats(dirs, kappa: int, need: int, field: FieldSpec) -> list:
     """(mask, basis) of kappa-flats of dirs that hold more than need
     columns.  dirs are (direction, column mask) pairs of pairwise
-    independent directions, each scaled to 1 at its first nonzero entry,
-    as proportional_classes keys them.
+    independent directions, each a key of _reduction(field) scaled to 1
+    at its first nonzero entry, as _classes keys them.
 
     A flat is found from its first direction d: the residuals of the later
     directions modulo d, split into proportional classes, are the
@@ -360,14 +350,9 @@ def flats_above(
     last level skips d when those keys' columns plus the largest kept key
     cannot exceed need - |d|.
     """
-    return [(m, tuple(map(tuple, b))) for m, b in _flats(dirs, kappa, need, field)]
-
-
-def _flats(dirs, kappa: int, need: int, field: FieldSpec) -> list:
-    """flats_above with bases of keys of _reduction(field)."""
     if kappa == 1:
         return [(cols, (d,)) for d, cols in dirs if cols.bit_count() > need]
-    key, reduce = _reduction(field)
+    reduce = _reduction(field)[1]
     pivots: dict = {}
     out = []
 
@@ -420,7 +405,7 @@ def _flats(dirs, kappa: int, need: int, field: FieldSpec) -> list:
                     basis + (d,),
                 )
 
-    walk([(key(d), cols) for d, cols in dirs], kappa, need, 0, ())
+    walk(dirs, kappa, need, 0, ())
     return out
 
 

@@ -39,6 +39,9 @@ from .gf import GF256, FieldSpec
 DEFAULT_MAX_ITERATIONS = 200
 DEFAULT_PATIENCE = 50
 DEFAULT_RESTARTS = 3
+# draws random_support makes before giving up, and moves _neighbor tries
+SUPPORT_ATTEMPTS = 500
+NEIGHBOR_TRIES = 64
 
 
 @dataclass(frozen=True)
@@ -104,15 +107,13 @@ class SearchTrace:
             )
 
 
-def random_support(
-    spec: CodeSpec, seed: int, max_attempts: int = 500
-) -> SupportPattern:
+def random_support(spec: CodeSpec, seed: int) -> SupportPattern:
     """Random support pattern with exact row and column censuses, built by
     quota-constrained placement with restart-on-deadlock backtracking.
     Deterministic per seed."""
     rng = random.Random(seed)
     k, r, w = spec.k, spec.r, spec.w
-    for _ in range(max_attempts):
+    for _ in range(SUPPORT_ATTEMPTS):
         quota = [spec.l] * r
         for j in rng.sample(range(r), spec.heavy_columns):
             quota[j] += 1
@@ -146,18 +147,18 @@ def random_support(
             return support
     raise ConstructionError(
         f"could not build a support pattern for n={spec.n} k={spec.k}"
-        f" w={spec.w} after {max_attempts} attempts"
+        f" w={spec.w} after {SUPPORT_ATTEMPTS} attempts"
     )
 
 
 def _neighbor(
-    support: SupportPattern, spec: CodeSpec, rng: random.Random, tries: int = 64
+    support: SupportPattern, spec: CodeSpec, rng: random.Random
 ) -> SupportPattern | None:
     """Move one mark of a random row to a new column, then restore the
     column census by the opposite move in another row."""
     k, r = spec.k, spec.r
     rows = [set(cols) for cols in support]
-    for _ in range(tries):
+    for _ in range(NEIGHBOR_TRIES):
         i = rng.randrange(k)
         a = rng.choice(sorted(rows[i]))
         b_choices = [j for j in range(r) if j not in rows[i]]

@@ -11,8 +11,7 @@ from blrc.analysis import (
     _closed_flats,
     _directions,
     _outside_classes,
-    _pair_costs,
-    _single_costs,
+    _pattern_costs,
     avg_repair_bandwidth_double,
     avg_repair_bandwidth_single,
     build_report,
@@ -30,9 +29,9 @@ from blrc.code import (
     support_of,
 )
 from blrc.gf import GF256, FieldSpec
-from blrc.linalg import GfMatrix, flats_above, insert_row, rank
+from blrc.linalg import GfMatrix, _flats, insert_row, rank
 from blrc.presets import blrc_15_10_w3, blrc_16_10_w2, blrc_16_10_w3
-from blrc.refcodes import build_rs
+from blrc.refcodes import build_replication, build_rs
 from blrc.search import random_support
 from util_oracles import (
     certify_plan,
@@ -151,7 +150,7 @@ def _rank_of_submasks(cols, nonzero, field):
 def test_flats_hold_every_low_rank_row_set():
     # the rows of [P; I_r], one per block, are the parity-check columns the
     # double average splits into flats: every set F of more than kappa of
-    # them spanning at most kappa dimensions lies in one mask flats_above
+    # them spanning at most kappa dimensions lies in one mask _flats
     # returns, every mask spans exactly kappa dimensions, and its basis is
     # in echelon order and spans exactly the mask's columns
     rng = random.Random(404)
@@ -176,7 +175,10 @@ def test_flats_hold_every_low_rank_row_set():
             nonzero |= mask
         rank_of = _rank_of_submasks(cols, nonzero, code.field)
         for kappa in range(1, code.r - 1):
-            listed = flats_above(dirs, kappa, kappa, code.field)
+            listed = [
+                (f, tuple(map(tuple, basis)))
+                for f, basis in _flats(dirs, kappa, kappa, code.field)
+            ]
             masks = [f for f, _ in listed]
             assert all(rank_of[f] == kappa for f in masks)
             assert all(not f & ~nonzero for f in masks)
@@ -212,10 +214,10 @@ def test_flats_above_a_larger_need_lists_the_larger_masks():
     for code in codes:
         _, dirs = _directions(code)
         for kappa in range(1, code.r):
-            listed = flats_above(dirs, kappa, kappa, code.field)
+            listed = _flats(dirs, kappa, kappa, code.field)
             for need in range(kappa + 1, code.n):
                 larger = [item for item in listed if item[0].bit_count() > need]
-                assert flats_above(dirs, kappa, need, code.field) == larger
+                assert _flats(dirs, kappa, need, code.field) == larger
                 dropped += len(listed) - len(larger)
     assert dropped > 1000
 
@@ -435,6 +437,9 @@ def test_pair_costs_match_repair_search():
             assert code is not None
             codes.append(code)
     assert len(codes) == 26
+    # MDS codes: no start beats r - f, so the walk leaves every pattern
+    # to reads - need
+    codes += [build_rs(9, 6).code, build_replication().code]
     codes.append(zero_column_code())
     for code in codes:
         blocks = range(1, code.n + 1)
@@ -448,14 +453,14 @@ def test_pair_costs_match_repair_search():
                 pass
         lost = [b for b in blocks if (b,) not in plans]
         if lost:
-            # a zero column: the flats refuse the first such block
+            # a zero column: the single average refuses the first such block
             with pytest.raises(UndecodableError) as exc:
-                _single_costs(code)
+                avg_repair_bandwidth_single(code)
             assert exc.value.pattern == (lost[0],)
-        else:
-            assert _single_costs(code) == [plans[b,] for b in blocks]
+        singles = {(p[0], p[0]): c for p, c in plans.items() if len(p) == 1}
+        assert _pattern_costs(code, 1) == singles
         pairs = {p: c for p, c in plans.items() if len(p) == 2}
-        assert _pair_costs(code) == pairs
+        assert _pattern_costs(code, 2) == pairs
 
 
 def test_zero_parity_check_column_pairs_are_undecodable():
@@ -463,7 +468,7 @@ def test_zero_parity_check_column_pairs_are_undecodable():
     # lost, and the other pairs leave it unfetched
     code = zero_column_code()
     assert avg_repair_bandwidth_double(code) == DoubleRepairStats(2.0, 6, 4)
-    costs = _pair_costs(code)
+    costs = _pattern_costs(code, 2)
     for pair in itertools.combinations(range(1, code.n + 1), 2):
         expected = minimal_repair_all_subsets(code, pair)
         assert costs.get(pair) == (expected and expected[0]), pair
@@ -513,7 +518,7 @@ def test_pair_costs_from_coordinate_starts(build, smallest_start, beaten):
     code = build()
     starts, reads = _coordinate_starts(code)
     assert min(starts.values()) == smallest_start
-    costs = _pair_costs(code)
+    costs = _pattern_costs(code, 2)
     plans = {pair: minimal_repair(code, pair) for pair in starts}
     assert costs == {pair: plan.cost for pair, plan in plans.items()}
     assert all(costs[pair] <= reads - start for pair, start in starts.items())
@@ -700,7 +705,7 @@ def test_long_code_double_averages():
             total / pairs, pairs, 0
         )
         if n == 26:
-            costs = _pair_costs(code)
+            costs = _pattern_costs(code, 2)
             for pair in random.Random(26).sample(sorted(costs), 24):
                 assert minimal_repair(code, pair).cost == costs[pair], pair
 

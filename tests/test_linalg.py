@@ -9,10 +9,10 @@ from blrc.linalg import (
     GfMatrix,
     SingularMatrixError,
     _byte_reduce,
+    _classes,
     _reduction,
     _tuple_reduce,
     insert_row,
-    proportional_classes,
     rank,
     solve,
     span_coefficients,
@@ -195,7 +195,11 @@ def test_proportional_classes_match_insert_row(data, picks, scale):
         c = scale % (field.order - 1) + 1
         vecs = vecs + [[field.mul(c, x) for x in span[-1]]]
     items = [(v, 1 << i) for i, v in enumerate(vecs)]
-    got = proportional_classes(span, items, field)
+    # _classes takes keys scaled to 1 at their first nonzero entry
+    key, reduce = _reduction(field)
+    span_keys = [reduce(key(d), key(d), 0) for d in span]
+    item_keys = [(reduce(key(v), key(v), 0), rows) for v, rows in items]
+    got = {tuple(v): rows for v, rows in _classes(span_keys, item_keys, field).items()}
     want = _classes_by_insert_row(span, items, field)
     assert list(got.items()) == list(want.items())
 

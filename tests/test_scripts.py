@@ -11,7 +11,8 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 @pytest.mark.parametrize(
-    "script", ["run_comparison.py", "mttdl_sweep.py", "long_codes.py"]
+    "script",
+    ["run_comparison.py", "mttdl_sweep.py", "long_codes.py", "value_dump.py"],
 )
 def test_script_help_prints_usage_and_writes_nothing(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(blrc.__file__).parents[1]))

@@ -15,18 +15,27 @@ it.  The sections are:
   plans     every single and pair plan of those codes with n <= 18;
   reports   build_report of the bundled and reference codes;
   search    hill_climb codes and traces: the default [16,10] d=4 search
-            with seeds 0 and 7, and 15 short configurations.
+            with seeds 0 and 7, and 15 short configurations;
+  triples   every triple plan of the bundled codes, Reed-Solomon [14,10],
+            the Azure layout and a GF(2^16) [15,10] code;
+  linalg    rank, solve and span_coefficients of seeded random matrices
+            over GF(2^4), GF(2^8) and GF(2^16), and recovery_coefficients
+            of every decodable pattern of 3 or fewer blocks of the bundled
+            codes, with every survivor and with the plan's helpers.
 """
 
 import argparse
 import hashlib
 import itertools
+import random
 
 from blrc import (
     CodeSpec,
     ConstructionError,
     FieldSpec,
     GfMatrix,
+    RepairPlan,
+    SingularMatrixError,
     SystematicCode,
     UndecodableError,
     assign_coefficients,
@@ -34,8 +43,12 @@ from blrc import (
     avg_repair_bandwidth_single,
     build_report,
     minimal_repair,
+    rank,
+    solve,
 )
+from blrc.code import recovery_coefficients
 from blrc.gf import GF256
+from blrc.linalg import span_coefficients
 from blrc.presets import blrc_15_10_w3, blrc_16_10_w2, blrc_16_10_w3
 from blrc.refcodes import (
     build_azure_lrc,
@@ -58,18 +71,21 @@ LONG_SHAPES = ((28, 20, 3), (32, 24, 3), (30, 20, 2))
 SHORT_SEARCHES = (
     (11, 7, 3), (12, 8, 3), (14, 10, 3), (15, 10, 4), (16, 10, 3),
 )
+GF65536 = FieldSpec(16, 0x1100B)
+MATRIX_FIELDS = (FieldSpec(4, 0b10011), GF256, GF65536)
+MATRICES = 400
+
+
+def _seeded(shape, seed, field=GF256):
+    spec = CodeSpec(*shape, field)
+    try:
+        return assign_coefficients(random_support(spec, seed), spec, seed=seed)
+    except ConstructionError:
+        return None
 
 
 def _codes():
     """(label, code) for every code of the averages section."""
-
-    def seeded(shape, seed, field=GF256):
-        spec = CodeSpec(*shape, field)
-        try:
-            return assign_coefficients(random_support(spec, seed), spec, seed=seed)
-        except ConstructionError:
-            return None
-
     for build in (blrc_15_10_w3, blrc_16_10_w3, blrc_16_10_w2):
         yield build.__name__, build()
     refs = (build_rs(14, 10), build_rs(9, 6), build_azure_lrc(), build_replication())
@@ -77,14 +93,14 @@ def _codes():
         yield ref.label, ref.code
     zero_column = GfMatrix([[1, 1], [0, 0], [1, 2]], GF256)
     yield "zero column", SystematicCode(zero_column)
-    yield "GF(2^16) [12,8] w=3", seeded((12, 8, 3), 1, FieldSpec(16, 0x1100B))
+    yield "GF(2^16) [12,8] w=3", _seeded((12, 8, 3), 1, GF65536)
     for shape in SHAPES:
         for seed in range(SEEDS):
-            code = seeded(shape, seed)
+            code = _seeded(shape, seed)
             if code is not None:
                 yield f"{shape} seed {seed}", code
     for shape in LONG_SHAPES:
-        yield f"{shape} seed 1", seeded(shape, 1)
+        yield f"{shape} seed 1", _seeded(shape, 1)
 
 
 def _outcome(call, *args):
@@ -130,6 +146,60 @@ def sections():
         code, trace = hill_climb(config)
         searches.append((config, code.P.data, trace.entries))
     yield "search", searches
+    triple_codes = [(build.__name__, build()) for build in bundled]
+    triple_codes += [(ref.label, ref.code) for ref in refs[:2]]
+    triple_codes.append(("GF(2^16) [15,10] w=3", _seeded((15, 10, 3), 1, GF65536)))
+    yield "triples", [
+        (label, _outcome(minimal_repair, code, p))
+        for label, code in triple_codes
+        for p in itertools.combinations(range(1, code.n + 1), 3)
+    ]
+    yield "linalg", _matrix_lines() + _recovery_lines(bundled)
+
+
+def _matrix_lines():
+    """rank, solve and span_coefficients of seeded random matrices, over
+    few distinct entries so that rank-deficient ones are common."""
+    rng, lines = random.Random(19), []
+    for field, _ in itertools.product(MATRIX_FIELDS, range(MATRICES)):
+        rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
+        values = [0, 0] + [rng.randrange(1, field.order) for _ in range(3)]
+        A = GfMatrix(
+            [[rng.choice(values) for _ in range(cols)] for _ in range(rows)], field
+        )
+        if rng.random() < 0.5:
+            target = A.mul_vec([rng.randrange(field.order) for _ in range(cols)])
+        else:
+            target = [rng.choice(values) for _ in range(rows)]
+        try:
+            solved = solve(A, target)
+        except SingularMatrixError as exc:
+            solved = str(exc)
+        lines.append((field.m, rank(A), span_coefficients(A, target), solved))
+    return lines
+
+
+def _recovery_lines(bundled):
+    """recovery_coefficients of every decodable pattern of at most 3
+    blocks of the bundled codes, with every survivor and with the plan's
+    helpers."""
+    lines = []
+    for build in bundled:
+        code = build()
+        blocks = range(1, code.n + 1)
+        for f in (1, 2, 3):
+            for pattern in itertools.combinations(blocks, f):
+                plan = _outcome(minimal_repair, code, pattern)
+                if not isinstance(plan, RepairPlan):
+                    continue
+                survivors = [b for b in blocks if b not in pattern]
+                lines.append((
+                    build.__name__,
+                    pattern,
+                    recovery_coefficients(code, survivors, pattern),
+                    recovery_coefficients(code, plan.helpers, pattern),
+                ))
+    return lines
 
 
 def run() -> None:

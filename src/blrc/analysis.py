@@ -75,12 +75,15 @@ minimal_repair answers one pattern E, of any size, from the same flats:
 its helpers are the nonzero surviving columns outside the largest flat
 of rank r - |E| skew to E.  It starts at the largest coordinate flat of
 E and lists the flats holding at least as many columns, and more than
-r - |E|; the first one skew to E, a rank test on its carried basis with
-E's columns, sets the size.  Ties go to the lexicographically least
-helper tuple.  Two flats of one size leave helper sets of one size, and
-the least block telling the flats apart tells the helper sets apart too;
-the helper set holding it is the lesser, so the flat lacking it wins:
-the lexicographically greatest flat as a sorted block tuple.
+r - |E|; the first one skew to E sets the size.  E is skew to a flat
+when its echelon basis, built once (which finds E undecodable), stays
+independent inserted into a copy of the flat's: the units outside J for
+the coordinate flat of rows J, the carried basis for a walked flat.
+Ties go to the lexicographically least helper tuple.  Two flats of one
+size leave helper sets of one size, and the least block telling the
+flats apart tells the helper sets apart too; the helper set holding it
+is the lesser, so the flat lacking it wins: the lexicographically
+greatest flat as a sorted block tuple.
 
 When no listed flat is skew, every coordinate flat has exactly r - |E|
 columns (as in an MDS code), and so does every skew flat: with E it is a
@@ -107,20 +110,18 @@ from .code import (
     BlrcCode,
     SystematicCode,
     UndecodableError,
-    decodable,
     minimum_distance,
     recovery_coefficients,
     update_complexity,
 )
 from .linalg import (
     Basis,
-    GfMatrix,
     _classes,
+    _first_nonzero,
     _flats,
+    _insert,
     _reduction,
     independent_prefixes,
-    insert_row,
-    rank,
 )
 
 ErasurePattern = tuple[int, ...]
@@ -224,11 +225,11 @@ def _outside_classes(dirs, columns: int, basis, field) -> list[int]:
 
 def _directions(code: SystematicCode):
     """The parity-check columns, and their proportional classes as
-    (direction, mask) pairs, each direction a key of linalg's walks (bytes
-    for m <= 8); bit b of a mask stands for block b + 1."""
-    cols = [code.parity_check_column(b + 1) for b in range(code.n)]
+    (direction, mask) pairs, each column and direction a key of linalg's
+    walks (bytes for m <= 8); bit b of a mask stands for block b + 1."""
     key, reduce = _reduction(code.field)
-    items = [(reduce(key(col), key(col), 0), 1 << b) for b, col in enumerate(cols)]
+    cols = [key(code.parity_check_column(b + 1)) for b in range(code.n)]
+    items = [(reduce(col, col, 0), 1 << b) for b, col in enumerate(cols)]
     return cols, list(_classes((), items, code.field).items())
 
 
@@ -373,14 +374,23 @@ def minimal_repair(code: SystematicCode, erased) -> RepairPlan:
     erased = normalize_pattern(code, erased)
     if not erased:
         return RepairPlan((), (), 0)
-    if not decodable(code, erased):
-        raise UndecodableError(erased)
     r, f, field = code.r, len(erased), code.field
     cols, dirs = _directions(code)
-    e_cols = [cols[b - 1] for b in erased]
+    key, reduce = _reduction(field)
+    span: Basis = []  # E's, and from it Gale's greedy basis
+    for b in erased:
+        if _insert(span, cols[b - 1], reduce) is None:
+            raise UndecodableError(erased)
+    e_keys = [v for _, v in span]
+
+    def skew(basis: Basis) -> bool:
+        basis = list(basis)
+        return all(_insert(basis, v, reduce) is not None for v in e_keys)
+
     lost = sum(1 << (b - 1) for b in erased)
-    # the largest coordinate flat: the nonzero columns zero on f rows on
-    # which E is independent
+    # the largest coordinate flat: the nonzero columns zero on f rows J
+    # on which E is independent (skew to the units outside J)
+    units = [(j, key([int(i == j) for i in range(r)])) for j in range(r)]
     nonzero, zero_in = _zero_rows(dirs, r)
     start = r - f
     for rows in itertools.combinations(range(r), f):
@@ -388,10 +398,8 @@ def minimal_repair(code: SystematicCode, erased) -> RepairPlan:
         for j in rows:
             held &= zero_in[j]
         count = held.bit_count()
-        if count > start:
-            square = [[col[j] for col in e_cols] for j in rows]
-            if rank(GfMatrix(square, field)) == f:
-                start = count
+        if count > start and skew([u for u in units if u[0] not in rows]):
+            start = count
     best = size = 0
     if f < r:
         # keep the flats tied with the start listed
@@ -405,19 +413,16 @@ def minimal_repair(code: SystematicCode, erased) -> RepairPlan:
             # telling them apart
             if size and not (flat ^ best) & -(flat ^ best) & best:
                 continue
-            if rank(GfMatrix(list(basis) + e_cols, field)) == r:
+            if skew([(_first_nonzero(d), d) for d in basis]):
                 best, size = flat, flat.bit_count()
     if not size:
         # every skew flat is r - f independent columns, a basis of the
         # contraction by E; greedy from the highest index down takes the
         # lexicographically greatest one (Gale)
-        span: Basis = []
-        for col in e_cols:
-            insert_row(span, col, field)
         for b in reversed(_bits(nonzero & ~lost)):
             if len(span) == r:
                 break
-            if insert_row(span, cols[b], field) is not None:
+            if _insert(span, cols[b], reduce) is not None:
                 best |= 1 << b
     helpers = tuple(b + 1 for b in _bits(nonzero & ~lost & ~best))
     return RepairPlan(erased, helpers, len(helpers))

@@ -68,7 +68,10 @@ def _load_valid_code(name: str):
     shard headers digest); an existing path wins over a bundled name."""
     path = Path(name)
     if path.exists():
-        text = path.read_text(encoding="ascii")
+        try:
+            text = path.read_text(encoding="ascii")
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{name}: not an ASCII code file ({exc})") from None
     elif name in presets.BUNDLED:
         text = write_code_text(presets.BUNDLED[name](), {"name": name})
     else:
@@ -90,7 +93,7 @@ def _params_from_args(args) -> ReliabilityParams:
     if getattr(args, "params", None):
         try:
             return parse_params(Path(args.params).read_text())
-        except (OSError, ParamsError) as exc:
+        except (OSError, ParamsError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read parameters: {exc}") from None
     return ReliabilityParams.defaults(getattr(args, "units", "decimal"))
 

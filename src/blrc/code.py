@@ -27,13 +27,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .gf import GF256, FieldSpec
-from .linalg import (
-    Basis,
-    GfMatrix,
-    independent_prefixes,
-    insert_row,
-    span_coefficients,
-)
+from .linalg import GfMatrix, independent_prefixes, rank, span_coefficients
 
 SupportPattern = tuple[tuple[int, ...], ...]
 """Per-row sorted tuples of 0-based parity-column indices (the nonzero
@@ -351,11 +345,8 @@ def assign_coefficients(
 def decodable(code: SystematicCode, erased: tuple[int, ...]) -> bool:
     """True iff the pattern is recoverable: the erased parity-check columns
     are linearly independent."""
-    basis: Basis = []
-    return all(
-        insert_row(basis, code.parity_check_column(b), code.field) is not None
-        for b in erased
-    )
+    cols = [code.parity_check_column(b) for b in erased]
+    return rank(GfMatrix(cols, code.field)) == len(cols)
 
 
 def encode(code: SystematicCode, data: list[int]) -> list[int]:

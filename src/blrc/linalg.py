@@ -4,14 +4,20 @@ into proportional classes modulo a span, and two walks in the quotient:
 over the independent subsets of a vector list, and over the flats of a
 direction list.
 
-Everything here is exact Gaussian elimination with first-nonzero pivoting.
-Matrices in this package never exceed a few dozen rows, so no attention is
-paid to asymptotics.  Operations never mutate their inputs, except that
+Everything here is exact Gaussian elimination, and every row operation is
+one step, _reduction(field): v + a * d scaled to 1 at its first nonzero
+entry, on keys: bytes for m <= 8, reduced by two bytes.translate calls
+with FieldSpec's tables (file coding uses them too) and an XOR of wide
+integers, and tuples above, by log/antilog arithmetic.  insert_row grows
+an echelon Basis of keys, rank counts the rows it keeps, and
+span_coefficients back-substitutes the basis of [A | t].  Matrices in this
+package never exceed a few dozen rows, so no attention is paid to
+asymptotics.  Operations never mutate their inputs, except that
 insert_row appends to the basis it is given.
 
-_classes reduces many vectors modulo a span in one call and groups the
+_classes reduces many keys modulo a span in one call and groups the
 residuals by proportionality (the directions of the parity-check
-columns, and the classes outside each flat).
+columns, and the classes outside each flat, keys that analysis holds).
 
 independent_prefixes walks the independent increasing position tuples of
 a vector list in the quotient: each tuple carries the later vectors as
@@ -28,13 +34,6 @@ span.  At the last level it skips a direction before reducing anything
 when no line through it can hold more than the columns asked for: the
 classes zero at its pivot never merge with each other, so a line holds
 at most one of them besides the classes the direction touches.
-
-All three share one field step, _reduction(field): v + a * d scaled to 1
-at its first nonzero entry.  For m <= 8 a vector is bytes, and the step is
-two bytes.translate calls with FieldSpec's tables (file coding uses them
-too) and an XOR of wide integers; for m > 8 a vector is a tuple, reduced
-by log/antilog arithmetic.  _classes and _flats take and answer these
-keys, which the repair code in analysis holds.
 """
 
 from __future__ import annotations
@@ -126,70 +125,33 @@ class GfMatrix:
         return f"GfMatrix({self.rows}x{self.cols} over GF(2^{self.field.m}))"
 
 
-def _eliminate(rows: list[list[int]], field: FieldSpec) -> tuple[list[list[int]], list[int]]:
-    """Row-reduce in place, returning (reduced rows, pivot column list)."""
-    exp, log = field._exp, field._log
-    q1 = field.order - 1
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        inv_log = q1 - log[prow[c]]
-        for i in range(len(rows)):
-            if i == r or not rows[i][c]:
-                continue
-            row = rows[i]
-            scale_log = (log[row[c]] + inv_log) % q1
-            for j in range(c, ncols):
-                a = prow[j]
-                if a:
-                    row[j] ^= exp[log[a] + scale_log]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+Basis = list[tuple[int, bytes | tuple]]
+"""Echelon rows as (pivot, key) in insertion order: each key is a key of
+_reduction(field) scaled to 1 at its pivot, its first nonzero entry, and
+zero at the pivot of every earlier row, so the pivots are distinct."""
 
 
-Basis = list[tuple[int, list[int]]]
-"""Echelon rows as (pivot, row) in insertion order.  Each row is zero before
-its pivot and at the pivot of every earlier row, and pivots are distinct."""
+def _insert(basis: Basis, v, reduce) -> int | None:
+    """insert_row on a key v, with reduce the step of _reduction(field)."""
+    for pivot, d in basis:
+        a = v[pivot]
+        if a:
+            v = reduce(v, d, a)
+    lead = _first_nonzero(v)
+    if lead is None:
+        return None
+    if v[lead] != 1:  # no step touched v, so it is not scaled yet
+        v = reduce(v, v, 0)
+    basis.append((lead, v))
+    return lead
 
 
 def insert_row(basis: Basis, row: Sequence[int], field: FieldSpec) -> int | None:
-    """Reduce a copy of row against basis, in insertion order, and append
-    it when it is independent.
-
-    Returns None when row lies in the span of basis.  Otherwise appends
-    (lead, residual) and returns lead, the residual's first nonzero column.
-    The span of an echelon basis has a vector whose first nonzero column is
-    c exactly when c is one of its pivots, so a test that the span never
-    reaches a block of target columns stops at the first lead inside it.
-    """
-    exp, log = field._exp, field._log
-    q1 = field.order - 1
-    v = list(row)
-    ncols = len(v)
-    for pivot, brow in basis:
-        a = v[pivot]
-        if a:
-            s = (log[a] - log[brow[pivot]]) % q1
-            for j in range(pivot, ncols):
-                b = brow[j]
-                if b:
-                    v[j] ^= exp[log[b] + s]
-    for lead, x in enumerate(v):
-        if x:
-            basis.append((lead, v))
-            return lead
-    return None
+    """Reduce row against basis in insertion order.  None when row lies in
+    the span of basis; otherwise append (lead, the residual scaled to 1)
+    and return lead, the residual's first nonzero column."""
+    key, reduce = _reduction(field)
+    return _insert(basis, key(row), reduce)
 
 
 def _byte_reduce(field: FieldSpec):
@@ -198,8 +160,9 @@ def _byte_reduce(field: FieldSpec):
 
     def reduce(v: bytes, d: bytes, a: int) -> bytes:
         x = from_bytes(v, "big") ^ from_bytes(d.translate(mul[a]), "big")
-        # a zero x shifts to 0, and div[0] keeps it zero
-        lead = x >> (x.bit_length() - 1 & 0x7FF8)
+        # a mask below 2^30 is as cheap as 0x7FF8 and keeps keys up to 2^27
+        # entries; a zero x shifts to 0, and div[0] keeps it zero
+        lead = x >> (x.bit_length() - 1 & 0x3FFFFFF8)
         return x.to_bytes(len(v), "big").translate(div[lead])
 
     return reduce
@@ -232,10 +195,9 @@ def _reduction(field: FieldSpec):
     return tuple, _tuple_reduce(field)
 
 
-def _first_nonzero(v) -> int:
-    for i, x in enumerate(v):
-        if x:
-            return i
+def _first_nonzero(v) -> int | None:
+    x = next(filter(None, v), 0)
+    return v.index(x) if x else None
 
 
 def _classes(span, items, field: FieldSpec) -> dict:
@@ -410,11 +372,12 @@ def _flats(dirs, kappa: int, need: int, field: FieldSpec) -> list:
 
 
 def rank(M: GfMatrix) -> int:
-    """Rank over GF(2^m) by Gaussian elimination."""
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    _, pivots = _eliminate([list(row) for row in M.data], M.field)
-    return len(pivots)
+    """Rank over GF(2^m): the rows insert_row keeps."""
+    key, reduce = _reduction(M.field)
+    basis: Basis = []
+    for row in M.data:
+        _insert(basis, key(row), reduce)
+    return len(basis)
 
 
 def solve(A: GfMatrix, b: list[int]) -> list[int]:
@@ -436,16 +399,29 @@ def span_coefficients(columns: GfMatrix, target: list[int]) -> list[int] | None:
     outside the column span.
 
     Works for rank-deficient column sets; coefficients of free columns are
-    zero.
+    zero.  x is read off the reduced echelon form of [columns | target],
+    which is unique, so no order of elimination changes it.
     """
     if len(target) != columns.rows:
         raise ValueError("dimension mismatch")
-    aug = [list(row) + [t] for row, t in zip(columns.data, target)]
-    reduced, pivots = _eliminate(aug, columns.field)
-    if pivots and pivots[-1] == columns.cols:
+    field, ncols = columns.field, columns.cols
+    field._check(*target)
+    key, reduce = _reduction(field)
+    basis: Basis = []
+    for row, t in zip(columns.data, target):
+        _insert(basis, key(row + [t]), reduce)
+    if any(lead == ncols for lead, _ in basis):  # a row reads 0 = t != 0
         return None
-    field = columns.field
-    x = [0] * columns.cols
-    for r, c in enumerate(pivots):
-        x[c] = field.div(reduced[r][columns.cols], reduced[r][c])
+    # back-substitute from the last row up: each row is zero at the
+    # earlier pivots, and the later rows, already reduced, clear it at
+    # theirs and leave its pivot at 1
+    x = [0] * ncols
+    for i in range(len(basis) - 1, -1, -1):
+        lead, v = basis[i]
+        for pivot, d in basis[i + 1 :]:
+            a = v[pivot]
+            if a:
+                v = reduce(v, d, a)
+        basis[i] = lead, v
+        x[lead] = v[ncols]
     return x

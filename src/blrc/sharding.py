@@ -143,17 +143,17 @@ def read_shard(path: Path) -> tuple[ShardHeader, bytes]:
     if sep < 0 or not blob.startswith(SHARD_MAGIC.encode("ascii")):
         raise ShardError(f"{path}: not a shard file")
     fields: dict[str, str] = {}
-    for line in blob[: sep].decode("ascii").splitlines()[1:]:
-        key, _, value = line.partition(" ")
-        fields[key] = value
     try:
+        for line in blob[: sep].decode("ascii").splitlines()[1:]:
+            key, _, value = line.partition(" ")
+            fields[key] = value
         header = ShardHeader(
             code_digest=fields["code"],
             index=int(fields["index"]),
             stripes=int(fields["stripes"]),
             data_length=int(fields["length"]),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise ShardError(f"{path}: bad shard header ({exc})") from None
     payload = blob[sep + 2 :]
     if len(payload) != header.stripes:

@@ -29,7 +29,7 @@ from blrc.code import (
     support_of,
 )
 from blrc.gf import GF256, FieldSpec
-from blrc.linalg import GfMatrix, _flats, insert_row, rank
+from blrc.linalg import GfMatrix, _flats
 from blrc.presets import blrc_15_10_w3, blrc_16_10_w2, blrc_16_10_w3
 from blrc.refcodes import build_replication, build_rs
 from blrc.search import random_support
@@ -37,6 +37,8 @@ from util_oracles import (
     certify_plan,
     decodable_by_generator,
     minimal_repair_all_subsets,
+    oracle_rank,
+    proportional_classes,
     random_valid_code,
 )
 
@@ -142,7 +144,7 @@ def _first_nonzero(vec) -> int:
 
 def _rank_of_submasks(cols, nonzero, field):
     return {
-        F: rank(GfMatrix([cols[b] for b in _bits(F)], field)) if F else 0
+        F: oracle_rank([cols[b] for b in _bits(F)], field) if F else 0
         for F in _submasks(nonzero)
     }
 
@@ -189,8 +191,8 @@ def test_flats_hold_every_low_rank_row_set():
                     assert v[pivots[i]] == 1
                     assert not any(v[p] for p in pivots[:i]), (kappa, basis)
                 both = [cols[b] for b in _bits(f)] + list(basis)
-                assert rank(GfMatrix(list(basis), code.field)) == kappa
-                assert rank(GfMatrix(both, code.field)) == kappa
+                assert oracle_rank(list(basis), code.field) == kappa
+                assert oracle_rank(both, code.field) == kappa
             for F, rank_F in rank_of.items():
                 if F.bit_count() > kappa and rank_F <= kappa:
                     checked += 1
@@ -243,8 +245,8 @@ def small_field_codes():
 def test_closed_flats_are_each_closed_flat_once_largest_first():
     # every closed kappa-flat with more than need columns, by the rank of
     # every set of columns, comes exactly once and largest first; and its
-    # outside classes are the split of the other nonzero columns by their
-    # residuals modulo the flat's span, as insert_row reduces them
+    # outside classes are the split of the other nonzero columns into
+    # classes proportional modulo the flat's span, by rank
     checked = 0
     for code in small_field_codes():
         field = code.field
@@ -269,17 +271,14 @@ def test_closed_flats_are_each_closed_flat_once_largest_first():
                 sizes = [flat.bit_count() for flat in masks]
                 assert sizes == sorted(sizes, reverse=True)
                 for flat, basis in got:
-                    span: list = []
-                    for b in _bits(flat):
-                        insert_row(span, cols[b], field)
-                    want: dict = {}
-                    for b in _bits(nonzero & ~flat):
-                        lead = insert_row(span, cols[b], field)
-                        res = span.pop()[1]
-                        key = tuple(field.div(x, res[lead]) for x in res)
-                        want[key] = want.get(key, 0) | 1 << b
+                    outside = _bits(nonzero & ~flat)
+                    span = [cols[b] for b in _bits(flat)]
+                    members = proportional_classes(
+                        span, [cols[b] for b in outside], field
+                    )
+                    want = [sum(1 << outside[i] for i in m) for m in members]
                     classes = _outside_classes(dirs, nonzero & ~flat, basis, field)
-                    assert classes == list(want.values()), (kappa, _bits(flat))
+                    assert classes == want, (kappa, _bits(flat))
                     checked += 1
     assert checked > 200, checked
 
@@ -485,7 +484,7 @@ def _coordinate_starts(code):
     for a, b in itertools.combinations(range(code.n), 2):
         for i, j in itertools.combinations(range(code.r), 2):
             square = [[cols[a][i], cols[b][i]], [cols[a][j], cols[b][j]]]
-            if rank(GfMatrix(square, code.field)) == 2:
+            if oracle_rank(square, code.field) == 2:
                 size = sum(1 for c in nonzero if not cols[c][i] | cols[c][j])
                 starts[a + 1, b + 1] = max(starts.get((a + 1, b + 1), 0), size)
     return starts, len(nonzero) - 2

@@ -114,6 +114,40 @@ def test_missing_code_file(capsys):
     assert "not found" in err
 
 
+def test_code_file_that_is_not_ascii(capsys, code_file):
+    code_file.write_bytes(code_file.read_bytes() + "# Prüfcode\n".encode())
+    rc, out, err = run(capsys, "analyze", str(code_file))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith(f"error: {code_file}: not an ASCII code file")
+
+
+def test_params_file_that_is_not_text(capsys, code_file, tmp_path):
+    params = tmp_path / "cluster.cfg"
+    params.write_bytes(b"\xff\xfe mttf 3y\n")
+    rc, out, err = run(capsys, "mttdl", str(code_file), "--params", str(params))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: cannot read parameters:")
+
+
+def test_shard_header_that_is_not_ascii(capsys, code_file, tmp_path):
+    src = tmp_path / "a.bin"
+    src.write_bytes(b"hello world" * 10)
+    shard_dir = tmp_path / "shards"
+    rc, *_ = run(capsys, "encode", str(code_file), str(src),
+                 "--out-dir", str(shard_dir))
+    assert rc == 0
+    victim = shard_dir / "a.bin.s03"
+    blob = victim.read_bytes()
+    victim.write_bytes(blob.replace(b"\nindex ", b"\n\xffndex ", 1))
+    rc, out, err = run(capsys, "decode", str(code_file),
+                       "--shards", str(shard_dir), "--out", str(tmp_path / "x"))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith(f"error: {victim}: bad shard header")
+
+
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_bundled_names_keep_their_digests(capsys, tmp_path, name):
     src = tmp_path / "a.bin"

@@ -23,11 +23,11 @@ from blrc.code import (
     validate,
 )
 from blrc.gf import GF256, FieldSpec
-from blrc.linalg import GfMatrix, rank
+from blrc.linalg import GfMatrix
 from blrc.presets import BUNDLED, blrc_15_10_w3, blrc_16_10_w3
 from blrc.refcodes import build_azure_lrc, build_rs
 from blrc.search import random_support
-from util_oracles import min_distance_by_patterns
+from util_oracles import min_distance_by_patterns, oracle_rank
 
 # name -> (undecodable f-subsets for f = 1..n, minimum distance)
 PINNED = {
@@ -158,8 +158,7 @@ def _small_field_code(rng, field=None):
 
 
 def _dependent(vectors, subset, field):
-    M = GfMatrix([vectors[i] for i in subset], field)
-    return rank(M) < len(subset)
+    return oracle_rank([vectors[i] for i in subset], field) < len(subset)
 
 
 def _first_dependent_by_brute_force(vectors, max_size, field):

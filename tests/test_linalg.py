@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blrc.gf import GF256, FieldSpec
+from blrc.gf import GF256, FieldMismatchError, FieldSpec
 from blrc.linalg import (
     GfMatrix,
     SingularMatrixError,
@@ -16,6 +16,12 @@ from blrc.linalg import (
     rank,
     solve,
     span_coefficients,
+)
+from util_oracles import (
+    in_column_span,
+    oracle_rank,
+    oracle_span_coefficients,
+    proportional_classes,
 )
 
 KERNEL_FIELDS = (FieldSpec(4, 0b10011), GF256, FieldSpec(16, 0x1002D))
@@ -113,16 +119,14 @@ def test_insert_row_matches_rank_and_span(seed):
     data = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
     basis = []
     for i, row in enumerate(data):
-        grows = rank(GfMatrix(data[: i + 1], GF256)) > rank(
-            GfMatrix(data[:i], GF256)
-        )
+        grows = oracle_rank(data[: i + 1], GF256) > oracle_rank(data[:i], GF256)
         assert (insert_row(basis, row, GF256) is not None) == grows
     M = GfMatrix(data, GF256)
-    assert len(basis) == rank(M)
+    assert len(basis) == oracle_rank(data, GF256)
     leads = [lead for lead, _ in basis]
     assert len(set(leads)) == len(leads)
     for lead, row in basis:
-        assert row[lead] and not any(row[:lead])
+        assert row[lead] == 1 and not any(row[:lead])
 
     # membership: a combination of the rows, or a random vector
     if rng.random() < 0.5:
@@ -130,12 +134,14 @@ def test_insert_row_matches_rank_and_span(seed):
     else:
         target = [rng.choice(values) for _ in range(cols)]
     inside = insert_row(list(basis), target, GF256) is None
-    assert inside == (span_coefficients(M.transpose(), target) is not None)
+    assert inside == in_column_span(data, [target], GF256)
 
     # the span reaches the target columns na.. iff some lead lies there
     na = rng.randrange(cols + 1)
-    left = M.submatrix(list(range(rows)), list(range(na)))
-    assert any(lead >= na for lead in leads) == (rank(M) > rank(left))
+    left = [row[:na] for row in data]
+    assert any(lead >= na for lead in leads) == (
+        oracle_rank(data, GF256) > oracle_rank(left, GF256)
+    )
 
 
 @st.composite
@@ -158,20 +164,22 @@ def vector_lists(draw):
     return field, draw(st.permutations(vecs + inside + [[0] * cols]))
 
 
-def _classes_by_insert_row(span, items, field):
-    # the reference path: insert into a basis, pop the residual, rescale
-    basis = []
-    for direction in span:
-        insert_row(basis, direction, field)
-    classes = {}
-    for vec, rows in items:
-        lead = insert_row(basis, vec, field)
-        if lead is None:
-            continue
-        res = basis.pop()[1]
-        key = tuple(field.div(x, res[lead]) for x in res)
-        classes[key] = classes.get(key, 0) | rows
-    return classes
+def _check_classes_by_rank(got, span, items, field):
+    # the reference: the classes by rank, and each key the residual of
+    # the class modulo the span scaled to 1: outside the span, on the line
+    # of the class's first member modulo it, and zero at the first nonzero
+    # entry of every span vector (in echelon form that pins it down)
+    vecs = [v for v, _ in items]
+    classes = proportional_classes(span, vecs, field)
+    want = [sum(items[i][1] for i in members) for members in classes]
+    assert list(got.values()) == want
+    base = oracle_rank(span, field)
+    pivots = [next(i for i, x in enumerate(d) if x) for d in span]
+    for key, members in zip(got, classes):
+        assert key[next(i for i, x in enumerate(key) if x)] == 1
+        assert not any(key[p] for p in pivots)
+        assert oracle_rank(span + [key], field) == base + 1
+        assert oracle_rank(span + [key, vecs[members[0]]], field) == base + 1
 
 
 @given(
@@ -180,7 +188,7 @@ def _classes_by_insert_row(span, items, field):
     scale=st.integers(1, 255),
 )
 @settings(max_examples=150, deadline=None)
-def test_proportional_classes_match_insert_row(data, picks, scale):
+def test_proportional_classes_match_rank(data, picks, scale):
     field, vecs = data
     nonzero = [v for v in vecs if any(v)]
     span = []
@@ -200,8 +208,7 @@ def test_proportional_classes_match_insert_row(data, picks, scale):
     span_keys = [reduce(key(d), key(d), 0) for d in span]
     item_keys = [(reduce(key(v), key(v), 0), rows) for v, rows in items]
     got = {tuple(v): rows for v, rows in _classes(span_keys, item_keys, field).items()}
-    want = _classes_by_insert_row(span, items, field)
-    assert list(got.items()) == list(want.items())
+    _check_classes_by_rank(got, [list(d) for d in span], items, field)
 
 
 BYTE_FIELDS = (FieldSpec(1, 0b11), FieldSpec(2, 0b111), FieldSpec(4, 0b10011), GF256)
@@ -281,3 +288,67 @@ def test_submatrix_and_column():
     assert M.column(1) == [2, 5]
     S = M.submatrix([1], [0, 2])
     assert S.data == [[4, 6]]
+
+
+@st.composite
+def systems(draw):
+    """(field, rows, target): a matrix over few distinct entries, so that
+    rank-deficient ones are common, and a target inside its column span
+    or drawn like its entries."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = [0, 0] + draw(
+        st.lists(st.integers(1, field.order - 1), min_size=1, max_size=3)
+    )
+    vec = st.lists(st.sampled_from(entries), min_size=cols, max_size=cols)
+    data = draw(st.lists(vec, min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(0, field.order - 1), min_size=cols, max_size=cols))
+        target = GfMatrix(data, field).mul_vec(x)
+    else:
+        target = draw(st.lists(st.sampled_from(entries), min_size=rows, max_size=rows))
+    return field, data, target
+
+
+@given(case=systems())
+@settings(max_examples=300, deadline=None)
+def test_rank_solve_and_span_coefficients_match_oracle(case):
+    field, data, target = case
+    A = GfMatrix(data, field)
+    full = oracle_rank(data, field)
+    assert rank(A) == full
+    want = oracle_span_coefficients(data, target, field)
+    assert span_coefficients(A, target) == want
+    if want is not None and full == A.cols:
+        assert solve(A, target) == want
+    else:
+        with pytest.raises(SingularMatrixError):
+            solve(A, target)
+
+
+@pytest.mark.parametrize("call", [span_coefficients, solve])
+def test_target_entry_outside_the_field_raises(call):
+    field = FieldSpec(4, 0b10011)
+    with pytest.raises(FieldMismatchError):
+        call(GfMatrix.identity(2, field), [20, 0])
+    with pytest.raises(FieldMismatchError):
+        call(GfMatrix.identity(2, field), [0, -1])
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f"m{f.m}")
+def test_rank_and_span_of_wide_matrices(field):
+    # keys far longer than 4,095 entries, first nonzero early
+    width = 5000
+    data = [[0, 5] + [0] * (width - 2), [0, 0, 3] + [0] * (width - 4) + [7]]
+    A = GfMatrix(data, field)
+    assert rank(A) == 2
+    assert rank(A.transpose()) == 2
+    for target in ([5, 3], [0, 1]):
+        assert span_coefficients(A, target) == oracle_span_coefficients(
+            data, target, field
+        )
+    assert span_coefficients(A, [5, 3])[:3] == [0, 1, 1]
+    if field.m <= 8:
+        # a zero key still scales through div_tables[0]
+        zero = bytes(width)
+        assert _byte_reduce(field)(zero, zero, 0) == zero

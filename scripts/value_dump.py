@@ -21,13 +21,24 @@ it.  The sections are:
   linalg    rank, solve and span_coefficients of seeded random matrices
             over GF(2^4), GF(2^8) and GF(2^16), and recovery_coefficients
             of every decodable pattern of 3 or fewer blocks of the bundled
-            codes, with every survivor and with the plan's helpers.
+            codes, with every survivor and with the plan's helpers;
+  cli       stdout, stderr, exit code and the files written of blrc
+            commands run in process from a temporary working directory
+            with relative paths: compare (table, CSV, --bandwidth-csv),
+            mttdl and analyze --fmax 4 --with-mttdl of each bundled code,
+            a short search, every --help, and a [16,10] w=2 encode,
+            decode, repair and decode with two shards lost.
 """
 
 import argparse
 import hashlib
+import io
 import itertools
+import os
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from blrc import (
     CodeSpec,
@@ -46,6 +57,7 @@ from blrc import (
     rank,
     solve,
 )
+from blrc import cli
 from blrc.code import recovery_coefficients
 from blrc.gf import GF256
 from blrc.linalg import span_coefficients
@@ -74,6 +86,8 @@ SHORT_SEARCHES = (
 GF65536 = FieldSpec(16, 0x1100B)
 MATRIX_FIELDS = (FieldSpec(4, 0b10011), GF256, GF65536)
 MATRICES = 400
+BUNDLED_NAMES = ("blrc-15-10-w3", "blrc-16-10-w3", "blrc-16-10-w2")
+COMMANDS = ("search", "analyze", "mttdl", "encode", "decode", "repair", "compare")
 
 
 def _seeded(shape, seed, field=GF256):
@@ -155,6 +169,7 @@ def sections():
         for p in itertools.combinations(range(1, code.n + 1), 3)
     ]
     yield "linalg", _matrix_lines() + _recovery_lines(bundled)
+    yield "cli", _cli_lines()
 
 
 def _matrix_lines():
@@ -199,6 +214,59 @@ def _recovery_lines(bundled):
                     recovery_coefficients(code, survivors, pattern),
                     recovery_coefficients(code, plan.helpers, pattern),
                 ))
+    return lines
+
+
+def _cli_lines():
+    """(argv, rc, stdout, stderr, files) per command, files being the
+    digest of every file under the working directory afterwards."""
+    lines = []
+
+    def blrc(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                rc = cli.main(list(argv))
+            except SystemExit as exc:  # --help
+                rc = exc.code
+        files = sorted(
+            (str(p), hashlib.sha256(p.read_bytes()).hexdigest())
+            for p in Path().rglob("*")
+            if p.is_file()
+        )
+        lines.append((argv, rc, out.getvalue(), err.getvalue(), files))
+
+    home, columns = os.getcwd(), os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            blrc("compare")
+            blrc("compare", "--format", "csv")
+            blrc("compare", "--bandwidth-csv", "bandwidth.csv")
+            for name in BUNDLED_NAMES:
+                blrc("mttdl", name)
+                blrc("analyze", name, "--fmax", "4", "--with-mttdl")
+            blrc("search", "--n", "12", "--k", "8", "--d", "3", "--seed", "3",
+                 "--max-iterations", "15", "--patience", "6", "--restarts", "1",
+                 "--trace-out", "trace.csv")
+            blrc("--help")
+            for command in COMMANDS:
+                blrc(command, "--help")
+            rng = random.Random(21)
+            Path("input.bin").write_bytes(bytes(rng.randrange(256) for _ in range(5000)))
+            blrc("encode", "blrc-16-10-w2", "input.bin", "--out-dir", "shards")
+            for lost in ("shards/input.bin.s03", "shards/input.bin.s12"):
+                os.remove(lost)
+            blrc("decode", "blrc-16-10-w2", "--shards", "shards", "--out", "decoded.bin")
+            blrc("repair", "blrc-16-10-w2", "--shards", "shards")
+            blrc("decode", "blrc-16-10-w2", "--shards", "shards", "--out", "again.bin")
+        finally:
+            os.chdir(home)
+            if columns is None:
+                del os.environ["COLUMNS"]
+            else:
+                os.environ["COLUMNS"] = columns
     return lines
 
 

@@ -14,8 +14,14 @@ import io
 import sys
 from pathlib import Path
 
-from . import presets
-from .analysis import build_report, decodability_profile, minimal_repair
+from . import presets, refcodes, sharding
+from .analysis import (
+    avg_repair_bandwidth_double,
+    avg_repair_bandwidth_single,
+    build_report,
+    decodability_profile,
+    minimal_repair,
+)
 from .code import ConstructionError, UndecodableError, validate
 from .codefile import (
     CodeFileError,
@@ -25,13 +31,6 @@ from .codefile import (
     write_code_text,
 )
 from .gf import FieldSpec
-from .refcodes import (
-    ReferenceCode,
-    build_azure_lrc,
-    build_replication,
-    build_rs,
-    build_xorbas_lrc,
-)
 from .reliability import (
     ParamsError,
     ReliabilityParams,
@@ -47,16 +46,6 @@ from .search import (
     SearchConfig,
     hill_climb,
 )
-from .sharding import (
-    ShardError,
-    ShardHeader,
-    decode_stream,
-    encode_stream,
-    read_shard,
-    repair_stream,
-    shard_path,
-    write_shard,
-)
 
 
 class CliError(RuntimeError):
@@ -64,8 +53,9 @@ class CliError(RuntimeError):
 
 
 def _load_valid_code(name: str):
-    """The valid code a path or bundled name stands for, and its text (what
-    shard headers digest); an existing path wins over a bundled name."""
+    """The valid code a path or bundled name stands for, and the digest of
+    its text that shard headers carry; an existing path wins over a bundled
+    name."""
     path = Path(name)
     if path.exists():
         try:
@@ -86,7 +76,7 @@ def _load_valid_code(name: str):
             f"{c.name}: {c.detail}" for c in report.failures()
         )
         raise CliError(f"{name}: structural validation failed: {failed}")
-    return code, text
+    return code, code_digest(text)
 
 
 def _params_from_args(args) -> ReliabilityParams:
@@ -96,6 +86,12 @@ def _params_from_args(args) -> ReliabilityParams:
         except (OSError, ParamsError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read parameters: {exc}") from None
     return ReliabilityParams.defaults(getattr(args, "units", "decimal"))
+
+
+def _mttdl(report, n: int, k: int, params: ReliabilityParams):
+    """(stripe, system) MTTDL in days of an [n, k] code's report."""
+    stripe = mttdl_stripe(build_model(report, n, k, params))
+    return stripe, mttdl_system(stripe, n, params)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -133,10 +129,9 @@ def cmd_search(args) -> int:
         Path(args.trace_out).write_text(
             "\n".join(trace.csv_rows()) + "\n", encoding="utf-8"
         )
-    report = build_report(code)
     sys.stderr.write(
-        f"best code: double {report.avg_repair_double:.4f},"
-        f" single {report.avg_repair_single:.4f} blocks\n"
+        f"best code: double {avg_repair_bandwidth_double(code).mean_cost:.4f},"
+        f" single {avg_repair_bandwidth_single(code):.4f} blocks\n"
     )
     return 0
 
@@ -156,9 +151,7 @@ def cmd_analyze(args) -> int:
     stripe = system = units = None
     if args.params or args.with_mttdl:
         params = _params_from_args(args)
-        model = build_model(report, code.n, code.k, params)
-        stripe = mttdl_stripe(model)
-        system = mttdl_system(stripe, code.n, params)
+        stripe, system = _mttdl(report, code.n, code.k, params)
         units = params.units
     _emit(
         render_report(shown, code.n, code.k, stripe, system, units),
@@ -170,10 +163,7 @@ def cmd_analyze(args) -> int:
 def cmd_mttdl(args) -> int:
     code, _ = _load_valid_code(args.codefile)
     params = _params_from_args(args)
-    report = build_report(code)
-    model = build_model(report, code.n, code.k, params)
-    stripe = mttdl_stripe(model)
-    system = mttdl_system(stripe, code.n, params)
+    stripe, system = _mttdl(build_report(code), code.n, code.k, params)
     lines = [
         f"mttdl_stripe {stripe:.6g} days",
         f"mttdl_system {system:.6g} days",
@@ -185,86 +175,60 @@ def cmd_mttdl(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    code, text = _load_valid_code(args.codefile)
+    code, digest = _load_valid_code(args.codefile)
     data = Path(args.input).read_bytes()
-    digest = code_digest(text)
-    shards = encode_stream(code, data)
+    shards = sharding.encode_stream(code, data)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.input).name
-    stripes = len(shards[0]) if shards else 0
+    stripes = len(shards[0])
     for idx, payload in enumerate(shards, start=1):
-        header = ShardHeader(digest, idx, stripes, len(data))
-        write_shard(shard_path(out_dir, stem, idx), header, payload)
+        header = sharding.ShardHeader(digest, idx, stripes, len(data))
+        path = sharding.shard_path(out_dir, stem, idx)
+        sharding.write_shard(path, header, payload)
     print(f"wrote {len(shards)} shards ({stripes} stripes) to {out_dir}")
     return 0
 
 
-def _shard_stem(directory: Path, stem: str | None) -> str:
-    if stem:
-        return stem
-    paths = directory.glob("*.s[0-9][0-9]")
-    stems = {p.name.rsplit(".s", 1)[0] for p in paths}
-    if not stems:
+def _shard_set(directory: Path, stem: str | None) -> tuple[str, dict]:
+    """The stem and shard files by block index of the set in directory:
+    the one named, or else the only one there."""
+    sets = sharding.shard_sets(directory)
+    if stem is None:
+        if len(sets) > 1:
+            raise CliError(
+                f"multiple shard sets in {directory}: {sorted(sets)};"
+                " pass --stem"
+            )
+        stem = next(iter(sets), None)
+    if stem not in sets:
         raise CliError(f"no shard files found in {directory}")
-    if len(stems) > 1:
-        raise CliError(
-            f"multiple shard sets in {directory}: {sorted(stems)};"
-            " pass --stem"
-        )
-    return stems.pop()
-
-
-def _common_header(code_text: str, headers) -> ShardHeader:
-    """The one header every shard shares but for its index; refuses shards
-    of another code file and headers that disagree on stripes or length."""
-    own = code_digest(code_text)
-    foreign = sorted({h.code_digest for h in headers} - {own})
-    if foreign:
-        raise CliError(
-            "shard headers reference a different code file"
-            f" (expected digest {own[:12]}..., found {foreign[0][:12]}...)"
-        )
-    if len({(h.stripes, h.data_length) for h in headers}) > 1:
-        raise CliError("shard headers disagree on data length or stripes")
-    return headers[0]
+    return stem, sets[stem]
 
 
 def cmd_decode(args) -> int:
-    code, text = _load_valid_code(args.codefile)
+    code, digest = _load_valid_code(args.codefile)
     directory = Path(args.shards)
-    stem = _shard_stem(directory, args.stem)
-    paths = sorted(directory.glob(f"{stem}.s[0-9][0-9]"))
-    if not paths:
-        raise CliError(f"no shard files found in {directory}")
-    shards = {}
-    headers = []
-    for p in paths:
-        header, payload = read_shard(p)
-        if not 1 <= header.index <= code.n:
-            raise CliError(f"{p}: shard index {header.index} out of range")
-        shards[header.index] = payload
-        headers.append(header)
-    data_length = _common_header(text, headers).data_length
-    data = decode_stream(code, shards, data_length)
+    _, files = _shard_set(directory, args.stem)
+    for b in files:
+        if b > code.n:
+            raise CliError(f"{files[b]}: shard index {b} out of range")
+    shards, common = sharding.read_shard_set(files, files, digest)
+    data = sharding.decode_stream(code, shards, common.data_length)
     Path(args.out).write_bytes(data)
     missing = [b for b in range(1, code.n + 1) if b not in shards]
     print(
-        f"decoded {data_length} bytes from {len(shards)} shards"
+        f"decoded {common.data_length} bytes from {len(shards)} shards"
         f" (missing: {missing or 'none'})"
     )
     return 0
 
 
 def cmd_repair(args) -> int:
-    code, text = _load_valid_code(args.codefile)
+    code, digest = _load_valid_code(args.codefile)
     directory = Path(args.shards)
-    stem = _shard_stem(directory, args.stem)
-    missing = [
-        b
-        for b in range(1, code.n + 1)
-        if not shard_path(directory, stem, b).exists()
-    ]
+    stem, files = _shard_set(directory, args.stem)
+    missing = [b for b in range(1, code.n + 1) if b not in files]
     if args.index is not None and not 1 <= args.index <= code.n:
         raise CliError(f"--index {args.index} outside 1..{code.n}")
     if not missing:
@@ -273,24 +237,14 @@ def cmd_repair(args) -> int:
     if args.index is not None and args.index not in missing:
         raise CliError(f"shard {args.index} is present; missing: {missing}")
     plan = minimal_repair(code, tuple(missing))
-    helper_payloads = {}
-    headers = []
-    for b in plan.helpers:
-        p = shard_path(directory, stem, b)
-        header, payload = read_shard(p)
-        if header.index != b:
-            raise CliError(f"{p}: header says shard {header.index}")
-        helper_payloads[b] = payload
-        headers.append(header)
-    common = _common_header(text, headers)
-    repaired = repair_stream(code, plan, helper_payloads)
+    helpers, common = sharding.read_shard_set(files, plan.helpers, digest)
+    repaired = sharding.repair_stream(code, plan, helpers)
     out_dir = Path(args.out_dir) if args.out_dir else directory
     out_dir.mkdir(parents=True, exist_ok=True)
     for idx, payload in repaired.items():
-        header = ShardHeader(
-            common.code_digest, idx, common.stripes, common.data_length
-        )
-        write_shard(shard_path(out_dir, stem, idx), header, payload)
+        header = dataclasses.replace(common, index=idx)
+        path = sharding.shard_path(out_dir, stem, idx)
+        sharding.write_shard(path, header, payload)
     print(
         f"repaired shards {sorted(repaired)} by reading {plan.cost}"
         f" helpers: {list(plan.helpers)}"
@@ -298,100 +252,76 @@ def cmd_repair(args) -> int:
     return 0
 
 
-def _comparison_rows(params: ReliabilityParams):
+# compare's columns: name, table width, table format and CSV format
+COMPARE_COLUMNS = (
+    ("scheme", 26, "{}", "{}"),
+    ("storage_overhead", 18, "{:g}", "{:g}"),
+    ("repair_single", 14, "{:g}", "{:g}"),
+    ("repair_double", 14, "{:g}", "{:g}"),
+    ("mttdl_days", 12, "{:.4g}", "{:.5g}"),
+    ("update_complexity", 18, "{}", "{}"),
+)
+
+
+def _schemes() -> list[refcodes.ReferenceCode]:
+    """compare's schemes: three baselines, then the bundled codes."""
     schemes = [
-        build_replication(3),
-        build_rs(14, 10),
-        build_xorbas_lrc(),
+        refcodes.build_replication(3),
+        refcodes.build_rs(14, 10),
+        refcodes.build_xorbas_lrc(),
     ]
-    for name, builder in presets.BUNDLED.items():
+    for builder in presets.BUNDLED.values():
         code = builder()
         report = build_report(code)
+        label = f"[{code.n}, {code.k}] BLRC w={code.spec.w}"
         schemes.append(
-            ReferenceCode(
-                label=f"[{code.n}, {code.k}] BLRC w={code.spec.w}",
-                n=code.n,
-                k=code.k,
-                report=report,
-                code=code,
-                structural_report=report,
-            )
+            refcodes.ReferenceCode(label, code.n, code.k, report, code, report)
         )
-    rows = []
-    for ref in schemes:
-        r = ref.report
-        model = build_model(r, ref.n, ref.k, params)
-        system = mttdl_system(mttdl_stripe(model), ref.n, params)
-        rows.append(
-            {
-                "scheme": ref.label,
-                "storage_overhead": r.storage_overhead,
-                "repair_single": r.avg_repair_single,
-                "repair_double": r.avg_repair_double,
-                "mttdl_days": system,
-                "update_complexity": r.update_complexity,
-                "k": ref.k,
-            }
-        )
-    return rows, schemes
+    return schemes
+
+
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def cmd_compare(args) -> int:
     params = _params_from_args(args)
-    rows, schemes = _comparison_rows(params)
-    headers = [
-        "scheme",
-        "storage_overhead",
-        "repair_single",
-        "repair_double",
-        "mttdl_days",
-        "update_complexity",
-    ]
+    schemes, rows = _schemes(), []
+    for ref in schemes:
+        r = ref.report
+        rows.append((ref.label, r.storage_overhead, r.avg_repair_single,
+                     r.avg_repair_double, _mttdl(r, ref.n, ref.k, params)[1],
+                     r.update_complexity))
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(headers)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["scheme"],
-                    f"{row['storage_overhead']:g}",
-                    f"{row['repair_single']:g}",
-                    f"{row['repair_double']:g}",
-                    f"{row['mttdl_days']:.5g}",
-                    row["update_complexity"],
-                ]
-            )
-        _emit(buf.getvalue(), args.out)
+        table = [[name for name, *_ in COMPARE_COLUMNS]]
+        table += [
+            [fmt.format(v) for (*_, fmt), v in zip(COMPARE_COLUMNS, row)]
+            for row in rows
+        ]
+        _emit(_csv(table), args.out)
     else:
-        widths = [26, 18, 14, 14, 12, 18]
-        head = "".join(h.ljust(w) for h, w in zip(headers, widths))
+        head = "".join(name.ljust(w) for name, w, *_ in COMPARE_COLUMNS)
         lines = [head, "-" * len(head)]
         for row in rows:
-            lines.append(
-                row["scheme"].ljust(widths[0])
-                + f"{row['storage_overhead']:g}".ljust(widths[1])
-                + f"{row['repair_single']:g}".ljust(widths[2])
-                + f"{row['repair_double']:g}".ljust(widths[3])
-                + f"{row['mttdl_days']:.4g}".ljust(widths[4])
-                + f"{row['update_complexity']}".ljust(widths[5])
-            )
+            lines.append("".join(
+                fmt.format(v).ljust(w)
+                for (_, w, fmt, _), v in zip(COMPARE_COLUMNS, row)
+            ))
         _emit("\n".join(lines) + "\n", args.out)
 
     if args.bandwidth_csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["scheme", "failures", "avg_repair_bandwidth"])
-        plot_schemes = list(schemes) + [build_azure_lrc()]
-        for ref in plot_schemes:
+        bandwidth = [["scheme", "failures", "avg_repair_bandwidth"]]
+        for ref in schemes + [refcodes.build_azure_lrc()]:
             r = ref.report
             costs = {1: r.avg_repair_single, 2: r.avg_repair_double}
             for f in range(3, 5):
                 if r.decodability.get(f, 0.0) > 0.0:
                     costs[f] = float(ref.k)
             for f, cost in sorted(costs.items()):
-                writer.writerow([ref.label, f, f"{cost:g}"])
-        Path(args.bandwidth_csv).write_text(buf.getvalue(), encoding="utf-8")
+                bandwidth.append([ref.label, f, f"{cost:g}"])
+        Path(args.bandwidth_csv).write_text(_csv(bandwidth), encoding="utf-8")
     return 0
 
 
@@ -488,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         CliError,
         ConstructionError,
         UndecodableError,
-        ShardError,
+        sharding.ShardError,
         ParamsError,
         CodeFileError,
         OSError,

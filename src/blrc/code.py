@@ -27,7 +27,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .gf import GF256, FieldSpec
-from .linalg import GfMatrix, independent_prefixes, rank, span_coefficients
+from .linalg import (
+    Basis,
+    GfMatrix,
+    _insert,
+    _reduction,
+    independent_prefixes,
+    span_coefficients,
+)
 
 SupportPattern = tuple[tuple[int, ...], ...]
 """Per-row sorted tuples of 0-based parity-column indices (the nonzero
@@ -345,8 +352,12 @@ def assign_coefficients(
 def decodable(code: SystematicCode, erased: tuple[int, ...]) -> bool:
     """True iff the pattern is recoverable: the erased parity-check columns
     are linearly independent."""
-    cols = [code.parity_check_column(b) for b in erased]
-    return rank(GfMatrix(cols, code.field)) == len(cols)
+    key, reduce = _reduction(code.field)
+    basis: Basis = []
+    return all(
+        _insert(basis, key(code.parity_check_column(b)), reduce) is not None
+        for b in erased
+    )
 
 
 def encode(code: SystematicCode, data: list[int]) -> list[int]:

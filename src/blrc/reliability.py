@@ -189,7 +189,8 @@ def build_model(
     Repairs transfer the report's single and double repair bandwidths, and
     k blocks for deeper repairs.  The chain ends at the first failure count
     whose next failure can never be decoded.  Raises ParamsError when the
-    stripe needs more nodes than the cluster has, or when a rate overflows.
+    stripe needs more nodes than the cluster has, when a rate overflows, or
+    when the stripe count C / (n B) leaves the float range.
     """
     if n > params.nodes:
         raise ParamsError(
@@ -233,6 +234,12 @@ def build_model(
             "failure and repair rates overflow; mttf, B or gamma is too"
             " extreme"
         )
+    stripes = params.stripe_count(n)
+    if not 0.0 < stripes < math.inf:
+        raise ParamsError(
+            f"C and B give {stripes:g} stripes of {n} blocks; C / (n B)"
+            " leaves the float range"
+        )
 
     model = MarkovModel(tuple(births), tuple(repairs), tuple(kills))
     model.check()
@@ -248,7 +255,8 @@ def mttdl_stripe(model: MarkovModel) -> float:
     y_m = 0, back-substitution starts at t_m = x_m.  The arithmetic is
     exact rational (the repair/failure rate ratio makes the float system
     catastrophically ill-conditioned).  Returns inf when data loss is not
-    certain, as when no state up to the cut can be killed.
+    certain, as when no state up to the cut can be killed, and when the
+    exact value exceeds the float range.
     """
     m = model.births.index(0.0)
     steps = []
@@ -263,7 +271,10 @@ def mttdl_stripe(model: MarkovModel) -> float:
     t = Fraction(0)
     for x, y in reversed(steps):
         t = x + y * t
-    return float(t)
+    try:
+        return float(t)
+    except OverflowError:
+        return math.inf
 
 
 def mttdl_system(stripe_mttdl: float, n: int, params: ReliabilityParams) -> float:

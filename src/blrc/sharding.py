@@ -1,6 +1,10 @@
 """File striping: encode a byte stream into n shard files, decode it back
 from any decodable subset, and rebuild single shards from a repair plan.
 
+Block i of a file is the shard file <stem>.s<i>, i with at least two digits
+(shard_path).  shard_sets finds the sets of a directory, and read_shard_set
+reads one, refusing shards whose headers do not agree with it.
+
 One stripe holds k consecutive payload bytes, one byte per shard (so the
 field must be GF(2^8)); the input is zero-padded to a whole number of
 stripes and the original length travels in the shard header.  Per-shard
@@ -119,6 +123,44 @@ def repair_stream(
 
 def shard_path(directory: Path, stem: str, index: int) -> Path:
     return directory / f"{stem}.s{index:02d}"
+
+
+def shard_sets(directory: Path) -> dict[str, dict[int, Path]]:
+    """The shard files in directory by stem and then block index, in index
+    order: every name that shard_path gives for some index >= 1."""
+    sets: dict[str, dict[int, Path]] = {}
+    for path in directory.glob("*.s*"):
+        stem, _, i = path.name.rpartition(".s")
+        if i.isdecimal() and int(i) and path == shard_path(directory, stem, int(i)):
+            sets.setdefault(stem, {})[int(i)] = path
+    return {stem: dict(sorted(files.items())) for stem, files in sets.items()}
+
+
+def read_shard_set(
+    files: dict[int, Path], indices, digest: str
+) -> tuple[dict[int, bytes], ShardHeader]:
+    """The payloads of the shard files at the given block indices of files,
+    and the header they share but for the index.  Raises ShardError for a
+    header naming another block than its file, a shard of a code file
+    other than the one whose digest is given, and headers that disagree
+    on stripes or length."""
+    payloads, headers = {}, []
+    for b in indices:
+        header, payloads[b] = read_shard(files[b])
+        if header.index != b:
+            raise ShardError(f"{files[b]}: header says shard {header.index}")
+        headers.append(header)
+    if not headers:
+        raise ShardError("no shards to read")
+    foreign = sorted({h.code_digest for h in headers} - {digest})
+    if foreign:
+        raise ShardError(
+            "shard headers reference a different code file"
+            f" (expected digest {digest[:12]}..., found {foreign[0][:12]}...)"
+        )
+    if len({(h.stripes, h.data_length) for h in headers}) > 1:
+        raise ShardError("shard headers disagree on data length or stripes")
+    return payloads, headers[0]
 
 
 def write_shard(

@@ -4,9 +4,10 @@ import pytest
 
 from blrc import analysis, cli
 from blrc.cli import main
-from blrc.code import validate
+from blrc.code import CodeSpec, assign_coefficients, validate
 from blrc.codefile import read_code_text, write_code_text
 from blrc.presets import BUNDLED, blrc_15_10_w3
+from blrc.search import random_support
 from blrc.sharding import read_shard
 
 # sha256 of each bundled code's text, which every shard header carries:
@@ -29,6 +30,16 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _encoded(capsys, code_file, tmp_path, name="a.bin"):
+    src = tmp_path / name
+    src.write_bytes(b"hello world" * 10)
+    shard_dir = tmp_path / "shards"
+    rc, *_ = run(capsys, "encode", str(code_file), str(src),
+                 "--out-dir", str(shard_dir))
+    assert rc == 0
+    return shard_dir
 
 
 def test_analyze_bundled(capsys):
@@ -132,12 +143,7 @@ def test_params_file_that_is_not_text(capsys, code_file, tmp_path):
 
 
 def test_shard_header_that_is_not_ascii(capsys, code_file, tmp_path):
-    src = tmp_path / "a.bin"
-    src.write_bytes(b"hello world" * 10)
-    shard_dir = tmp_path / "shards"
-    rc, *_ = run(capsys, "encode", str(code_file), str(src),
-                 "--out-dir", str(shard_dir))
-    assert rc == 0
+    shard_dir = _encoded(capsys, code_file, tmp_path)
     victim = shard_dir / "a.bin.s03"
     blob = victim.read_bytes()
     victim.write_bytes(blob.replace(b"\nindex ", b"\n\xffndex ", 1))
@@ -178,6 +184,11 @@ def test_existing_path_wins_over_bundled_name(capsys, tmp_path, monkeypatch):
         ("mttf 1e-320d", "overflow"),
         ("B 1e-320B", "overflow"),
         ("N 10", "15 distinct nodes"),
+        # C / (n B) underflows to no stripe at all
+        ("C 1e-320", "C and B"),
+        ("B 1e308", "C and B"),
+        # ... or overflows to infinitely many
+        ("C 1e308\nB 1e-10", "C and B"),
     ],
 )
 def test_mttdl_rejects_bad_parameter_values(
@@ -191,6 +202,20 @@ def test_mttdl_rejects_bad_parameter_values(
     assert rc == 1
     assert out == ""
     assert err.startswith("error:") and named in err
+
+
+def test_mttdl_beyond_float_range_is_inf(capsys, code_file, tmp_path):
+    # the exact stripe MTTDL exceeds the largest float
+    params = tmp_path / "cluster.cfg"
+    params.write_text("mttf 1e308\n")
+    rc, out, err = run(
+        capsys, "mttdl", str(code_file), "--params", str(params)
+    )
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[:2] == [
+        "mttdl_stripe inf days",
+        "mttdl_system inf days",
+    ]
 
 
 def test_mttdl_outputs_units(capsys, code_file):
@@ -233,12 +258,7 @@ def test_encode_decode_repair_cycle(capsys, code_file, tmp_path):
 
 
 def test_decode_refuses_foreign_shards(capsys, code_file, tmp_path):
-    src = tmp_path / "a.bin"
-    src.write_bytes(b"hello world" * 10)
-    shard_dir = tmp_path / "shards"
-    rc, *_ = run(capsys, "encode", str(code_file), str(src),
-                 "--out-dir", str(shard_dir))
-    assert rc == 0
+    shard_dir = _encoded(capsys, code_file, tmp_path)
     other = tmp_path / "other.code"
     other.write_text(
         write_code_text(blrc_15_10_w3(seed=160)), encoding="ascii"
@@ -250,12 +270,7 @@ def test_decode_refuses_foreign_shards(capsys, code_file, tmp_path):
 
 
 def test_repair_refuses_foreign_shards(capsys, code_file, tmp_path):
-    src = tmp_path / "a.bin"
-    src.write_bytes(b"hello world" * 10)
-    shard_dir = tmp_path / "shards"
-    rc, *_ = run(capsys, "encode", str(code_file), str(src),
-                 "--out-dir", str(shard_dir))
-    assert rc == 0
+    shard_dir = _encoded(capsys, code_file, tmp_path)
     victim = shard_dir / "a.bin.s05"
     victim.unlink()
     other = tmp_path / "other.code"
@@ -271,12 +286,7 @@ def test_repair_refuses_foreign_shards(capsys, code_file, tmp_path):
 def test_repair_refuses_renamed_shard(capsys, code_file, tmp_path):
     # repair finds helpers by file name; a shard whose header names
     # another index would rebuild the lost shard from the wrong block
-    src = tmp_path / "a.bin"
-    src.write_bytes(b"hello world" * 10)
-    shard_dir = tmp_path / "shards"
-    rc, *_ = run(capsys, "encode", str(code_file), str(src),
-                 "--out-dir", str(shard_dir))
-    assert rc == 0
+    shard_dir = _encoded(capsys, code_file, tmp_path)
     victim = shard_dir / "a.bin.s05"
     victim.unlink()
     first, second = shard_dir / "a.bin.s01", shard_dir / "a.bin.s02"
@@ -293,12 +303,7 @@ def test_repair_refuses_renamed_shard(capsys, code_file, tmp_path):
 @pytest.mark.parametrize("lost", [(1, 11, 12, 14), (2, 3, 5, 8, 13, 15)])
 def test_repair_refuses_undecodable_losses(capsys, code_file, tmp_path, lost):
     # data block 1 with the three parities covering it, and more than r
-    src = tmp_path / "a.bin"
-    src.write_bytes(b"hello world" * 10)
-    shard_dir = tmp_path / "shards"
-    rc, *_ = run(capsys, "encode", str(code_file), str(src),
-                 "--out-dir", str(shard_dir))
-    assert rc == 0
+    shard_dir = _encoded(capsys, code_file, tmp_path)
     for b in lost:
         (shard_dir / f"a.bin.s{b:02d}").unlink()
     left = sorted(shard_dir.iterdir())
@@ -313,12 +318,7 @@ def test_repair_refuses_undecodable_losses(capsys, code_file, tmp_path, lost):
 @pytest.mark.parametrize("index", ["0", "99"])
 def test_repair_rejects_index_outside_code_length(capsys, code_file, tmp_path,
                                                   index):
-    src = tmp_path / "a.bin"
-    src.write_bytes(b"hello world" * 10)
-    shard_dir = tmp_path / "shards"
-    rc, *_ = run(capsys, "encode", str(code_file), str(src),
-                 "--out-dir", str(shard_dir))
-    assert rc == 0
+    shard_dir = _encoded(capsys, code_file, tmp_path)
     victim = shard_dir / "a.bin.s05"
     victim.unlink()
     rc, _, err = run(capsys, "repair", str(code_file),
@@ -400,3 +400,88 @@ def test_compare_table_and_csv(capsys, tmp_path):
     assert ["[16, 10] Azure LRC", "1", "6.25"] in bw_rows
     # replication stops contributing once a third copy failure loses data
     assert ["3-replication", "3", "1"] not in bw_rows
+
+
+def test_cycle_with_three_digit_shard_indices(capsys, tmp_path):
+    # a [101, 100] code names its last shards a.bin.s100 and a.bin.s101
+    spec = CodeSpec(101, 100, 1)
+    code = assign_coefficients(random_support(spec, 1), spec, seed=1)
+    code_file = tmp_path / "long.code"
+    code_file.write_text(write_code_text(code), encoding="ascii")
+    payload = bytes(random.Random(5).randrange(256) for _ in range(3000))
+    src = tmp_path / "a.bin"
+    src.write_bytes(payload)
+    shard_dir = tmp_path / "shards"
+    rc, *_ = run(capsys, "encode", str(code_file), str(src),
+                 "--out-dir", str(shard_dir))
+    assert rc == 0
+    out_file = tmp_path / "out.bin"
+    rc, out, err = run(capsys, "decode", str(code_file),
+                       "--shards", str(shard_dir), "--out", str(out_file))
+    assert (rc, err) == (0, "")
+    assert out == "decoded 3000 bytes from 101 shards (missing: none)\n"
+    assert out_file.read_bytes() == payload
+
+    victim = shard_dir / "a.bin.s100"
+    body = victim.read_bytes()
+    victim.unlink()
+    rc, out, err = run(capsys, "repair", str(code_file),
+                       "--shards", str(shard_dir), "--index", "100")
+    assert (rc, err) == (0, "")
+    assert out.startswith("repaired shards [100] by reading 100 helpers")
+    assert victim.read_bytes() == body
+
+
+def test_decode_refuses_swapped_shards(capsys, code_file, tmp_path):
+    # decode keys payloads by file name, like repair
+    shard_dir = _encoded(capsys, code_file, tmp_path)
+    first, second = shard_dir / "a.bin.s01", shard_dir / "a.bin.s02"
+    body = first.read_bytes()
+    first.write_bytes(second.read_bytes())
+    second.write_bytes(body)
+    out_file = tmp_path / "x"
+    rc, out, err = run(capsys, "decode", str(code_file),
+                       "--shards", str(shard_dir), "--out", str(out_file))
+    assert (rc, out) == (1, "")
+    assert err == f"error: {first}: header says shard 2\n"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("command", ["decode", "repair"])
+def test_two_shard_sets_need_a_stem(capsys, code_file, tmp_path, command):
+    shard_dir = _encoded(capsys, code_file, tmp_path, "a.bin")
+    _encoded(capsys, code_file, tmp_path, "b.bin")
+    (shard_dir / "a.bin.s05").unlink()
+    left = sorted(shard_dir.iterdir())
+    out_arg = ["--out", str(tmp_path / "x")] if command == "decode" else []
+    rc, out, err = run(capsys, command, str(code_file),
+                       "--shards", str(shard_dir), *out_arg)
+    assert (rc, out) == (1, "")
+    assert err == (
+        f"error: multiple shard sets in {shard_dir}: ['a.bin', 'b.bin'];"
+        " pass --stem\n"
+    )
+    assert sorted(shard_dir.iterdir()) == left
+
+
+def test_repair_stem_naming_no_file(capsys, code_file, tmp_path):
+    shard_dir = _encoded(capsys, code_file, tmp_path)
+    rc, out, err = run(capsys, "repair", str(code_file),
+                       "--shards", str(shard_dir), "--stem", "b.bin")
+    assert (rc, out) == (1, "")
+    assert err == f"error: no shard files found in {shard_dir}\n"
+
+
+def test_repair_of_a_zero_block_is_an_error_not_a_traceback(capsys, tmp_path):
+    # a valid [7, 2] w=1 code has all-zero parities, whose plans read no
+    # helper, so no header gives the stripes of the shard to write
+    spec = CodeSpec(7, 2, 1)
+    code = assign_coefficients(random_support(spec, 1), spec, seed=1)
+    assert [row[2] for row in code.P.data] == [0, 0]
+    code_file = tmp_path / "short.code"
+    code_file.write_text(write_code_text(code), encoding="ascii")
+    shard_dir = _encoded(capsys, code_file, tmp_path)
+    (shard_dir / "a.bin.s05").unlink()
+    rc, out, err = run(capsys, "repair", str(code_file),
+                       "--shards", str(shard_dir))
+    assert (rc, out, err) == (1, "", "error: no shards to read\n")

@@ -14,6 +14,7 @@ from blrc.sharding import (
     read_shard,
     repair_stream,
     shard_path,
+    shard_sets,
     write_shard,
 )
 
@@ -189,3 +190,20 @@ def test_mismatched_payload_lengths_rejected(code_15_10):
     partial = {1: shards[0], 2: shards[1][:-1]}
     with pytest.raises(ShardError):
         decode_stream(code_15_10, partial, 10)
+
+
+def test_shard_sets_take_exactly_the_names_shard_path_gives(tmp_path):
+    names = ["x.s01", "x.s100", "x.s20", "y.s07", "x.s5", "x.s1x", "x.sab", "x.s00",
+             "x.s007", "x.s", "x.bin", "z.s1٣"]
+    for name in names:
+        (tmp_path / name).write_bytes(b"")
+    assert shard_sets(tmp_path) == {
+        "x": {
+            1: tmp_path / "x.s01",
+            20: tmp_path / "x.s20",
+            100: tmp_path / "x.s100",
+        },
+        "y": {7: tmp_path / "y.s07"},
+    }
+    assert list(shard_sets(tmp_path)["x"]) == [1, 20, 100]
+    assert shard_sets(tmp_path / "nowhere") == {}

@@ -27,12 +27,13 @@ cost(E).  Two lines prove the bound:
   * no nonzero combination of E's columns vanishes on J, so none lies in
     that subspace: the flat is skew to E.
 
-Both averages price every pattern of f = 1 or 2 blocks in one walk,
-_pattern_costs(code, f), over the flats of rank r - f: linalg._flats
-lists those holding more columns than need, the smallest start, each
-with an echelon basis of its span, some of them partly (a flat found from
-a later direction lacks its earlier ones).  _closed_flats walks them
-largest first and tells the closed ones by containment alone:
+One walk, _walk, prices a list of patterns of one size f: the averages
+every single or every pair at once, and minimal_repair its one pattern E,
+of any size.  It walks the flats of rank r - f holding more than need
+columns: linalg._flats lists them, each with an echelon basis of its
+span, some of them partly (a flat found from a later direction lacks its
+earlier ones), and _closed_flats walks them largest first and tells the
+closed ones by containment alone:
 
   * a partial mask M lies inside cl(M), a flat of the same rank with more
     columns, so cl(M) is listed and sorts before M;
@@ -41,23 +42,42 @@ largest first and tells the closed ones by containment alone:
 
 It lists hyperplanes with the parity columns first (the directions in
 reverse order), so their walk starts from unit directions: that measured
-faster for them, and slower for the rank r - 2 listing.  The columns
-outside a flat split into proportional classes modulo its span, one
-outside a hyperplane (the quotient is a line).  A pattern (a, b), b >= a
-and a lone block being (a, a), is skew to the flat when b lies in another
-class than a or is a itself, and it is priced at the first flat it is
-skew to.
+faster for them, and slower for the rank r - 2 listing.
 
-A pattern the walk leaves open costs reads - need, reads being the
-nonzero columns other than its own: a start above need is a listed flat
-skew to it, so its start is need, and no larger flat is skew to it.
-need comes from the f-row sets of H, walked from the largest coordinate
-flat down: each keys the directions by their ratio on its first and last
-rows (one row when f = 1) and settles the patterns it keeps independent,
-a lone direction nonzero there or two of different keys; need is the
-size at which the last pattern settles.  Below r - f = 3, where the
-walk is one level of lines, need stays r - f: there the pair start
+One skew rule prices a pattern, (a, *rest, b) with a lone block being
+(a, a): E is skew to a flat when its blocks lie in |E| distinct classes
+of the columns outside it, proportional modulo its span, whose keys are
+independent.  The walk tests it as the rest independent modulo the flat,
+then a and b in two classes modulo the flat and the rest; for f <= 2 that
+is just distinct classes (outside a hyperplane all columns are one), and
+for f = 3 it adds the independence of the third key.  The same rule finds
+the starts: the coordinate flat of rows J has the units outside J for a
+basis, so the columns restricted to J are the residuals.  The walk
+visits the coordinate flats largest first until every pattern is skew to
+one; need is the size at which the last one is.  Below r - f = 3, where
+the walk is one level of lines, need stays r - f: there the start
 measured slower than what it pruned.
+
+The averages price each pattern at the first flat skew to it.  One left
+open costs reads - need, reads being the nonzero columns other than its
+own: a start above need is a listed flat skew to it, so its start is
+need, and no larger flat is skew to it.  A plan, whose helpers are the
+nonzero survivors outside its flat, lists from its start less one, so
+flats tied with the start are walked, and ties go to the
+lexicographically least helper tuple.  Two flats of one size leave
+helper sets of one size, and the least block telling the flats apart
+tells the helper sets apart too; the helper set holding it is the
+lesser, so the flat lacking it wins: the lexicographically greatest flat
+as a sorted block tuple.
+
+When no listed flat is skew, every coordinate flat has exactly r - |E|
+columns (as in an MDS code), and so does every skew flat: with E it is a
+basis of F^r, so it is a basis of the contraction by E.  The greedy
+algorithm, keeping each survivor from the highest index down that stays
+independent of E and the survivors kept, returns the basis whose sorted
+members are each at least those of any other basis (Gale, "Optimal
+assignments in an ordered set", J. Combin. Theory 1968), so the
+lexicographically greatest one.
 
 The decodability census counts the undecodable f-subsets, those with
 dependent parity-check columns, as comb(n, f) less the independent ones.
@@ -71,29 +91,6 @@ walk stops two columns short of the largest size counted.
 minimum_distance and the rank condition read their first dependent
 subsets from the same walk.
 
-minimal_repair answers one pattern E, of any size, from the same flats:
-its helpers are the nonzero surviving columns outside the largest flat
-of rank r - |E| skew to E.  It starts at the largest coordinate flat of
-E and lists the flats holding at least as many columns, and more than
-r - |E|; the first one skew to E sets the size.  E is skew to a flat
-when its echelon basis, built once (which finds E undecodable), stays
-independent inserted into a copy of the flat's: the units outside J for
-the coordinate flat of rows J, the carried basis for a walked flat.
-Ties go to the lexicographically least helper tuple.  Two flats of one
-size leave helper sets of one size, and the least block telling the
-flats apart tells the helper sets apart too; the helper set holding it
-is the lesser, so the flat lacking it wins: the lexicographically
-greatest flat as a sorted block tuple.
-
-When no listed flat is skew, every coordinate flat has exactly r - |E|
-columns (as in an MDS code), and so does every skew flat: with E it is a
-basis of F^r, so it is a basis of the contraction by E.  The greedy
-algorithm, keeping each survivor from the highest index down that stays
-independent of E and the survivors kept, returns the basis whose sorted
-members are each at least those of any other basis (Gale, "Optimal
-assignments in an ordered set", J. Combin. Theory 1968), so the
-lexicographically greatest one.
-
 The test suite checks every plan kind against an independent all-subsets
 oracle, and both averages against the plans for every single and pair.
 Both answer every code length, so a long code costs time, never
@@ -104,6 +101,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .code import (
@@ -213,16 +211,6 @@ def _closed_flats(dirs, kappa: int, need: int, field):
         yield flat, basis
 
 
-def _outside_classes(dirs, columns: int, basis, field) -> list[int]:
-    """Column masks of the proportional classes, modulo the span of basis,
-    of columns (none of them in that span), in order of first appearance.
-    Outside a hyperplane they are one class: the quotient is a line."""
-    if len(basis) == len(dirs[0][0]) - 1:
-        return [columns]
-    outside = [(d, mask & columns) for d, mask in dirs if mask & columns]
-    return list(_classes(basis, outside, field).values())
-
-
 def _directions(code: SystematicCode):
     """The parity-check columns, and their proportional classes as
     (direction, mask) pairs, each column and direction a key of linalg's
@@ -233,122 +221,150 @@ def _directions(code: SystematicCode):
     return cols, list(_classes((), items, code.field).items())
 
 
-def _zero_rows(dirs, r: int) -> tuple[int, list[int]]:
-    """The nonzero columns, and for each row of H the nonzero columns zero
-    on it."""
-    nonzero = 0
-    zero_in = [0] * r
-    for d, mask in dirs:
-        nonzero |= mask
-        for j in range(r):
-            if not d[j]:
-                zero_in[j] |= mask
-    return nonzero, zero_in
-
-
-def _smallest_start(dirs, f: int, unsettled: list[int], field) -> int:
-    """need for the patterns of f <= 2 directions, unsettled[p] holding
-    bit q for each one of direction p with direction q (bit p for p
-    alone): the fewest columns in any pattern's largest coordinate flat
+def _walk(code: SystematicCode, dirs, f: int, open_: dict, rest, ties: bool):
+    """Price the patterns (a, *rest, b) of f blocks, for b in open_[a]:
+    blocks count from 0, a lone block a is (a, a), and rest holds the
+    parity-check columns of the blocks between a and b.  Returns (need,
+    priced): priced lists (flat, a, partners) in walk order, flat the
+    first closed flat of rank r - f holding more than need columns that
+    is skew to (a, *rest, b) for b in partners, or when ties, a later one
+    of its size winning the tie, and last flat None for the patterns no
+    listed flat is skew to; a pattern's flat is the last listing it.
+    need is the fewest columns in any pattern's start, less one when ties
     (see the module docstring)."""
-    log, q1, r = field._log, field.order - 1, len(dirs[0][0])
-    zero_in = _zero_rows(dirs, r)[1]
-    row_sets = sorted(
-        ((zero_in[rows[0]] & zero_in[rows[-1]]).bit_count(), rows[0], rows[-1])
-        for rows in itertools.combinations(range(r), f)
-    )
-    need = r - f  # no coordinate flat holds fewer columns
-    for size, i, j in reversed(row_sets):
-        if size == need:
-            break  # the patterns still open start at r - f
-        # each direction's ratio on rows i and j, as log(y / x)
-        classes: dict[int, int] = {}
-        unseen = 0
-        bit = 1  # bit p stands for direction p
-        for d, _ in dirs:
-            x, y = d[i], d[j]
-            if x:
-                key = (log[y] - log[x]) % q1 if y else -1
-            elif y:
-                key = -2
-            else:
-                unseen |= bit
-                bit <<= 1
-                continue
-            classes[key] = classes.get(key, 0) | bit
-            bit <<= 1
-        for mask in classes.values():
-            keep = mask | unseen
+    r, field, kappa = code.r, code.field, code.r - f
+    key, reduce = _reduction(field)
+
+    def skew(live: dict, flat: int, basis, rows=()) -> list:
+        """(a, partners) of the patterns of live skew to the flat of
+        columns flat and span basis, or to the coordinate flat of rows,
+        where the columns restricted to rows are the residuals."""
+        heads = pending = 0  # the blocks a, and a and b, outside the flat
+        for a, partners in live.items():
+            if not flat >> a & 1:
+                hit = partners & ~flat
+                if hit:
+                    heads |= 1 << a
+                    pending |= 1 << a | hit
+        if not pending:
+            return []
+        restrict = operator.itemgetter(*rows) if rows else None
+        span = basis
+        if rest:  # independent modulo the flat, and then part of its span
+            echelon = [(_first_nonzero(d), d) for d in basis]
+            for col in rest:
+                v = key(restrict(col)) if rows else col
+                if _insert(echelon, v, reduce) is None:
+                    return []
+            span = [d for _, d in echelon]
+        if f == 1:  # outside a hyperplane, or on one row, one class
+            classes = [pending]
+        elif rows:
+            restricted: dict = {}
+            for d, mask in dirs:
+                if mask & pending:
+                    v = key(restrict(d))
+                    if next(filter(None, v)) != 1:  # keys are 1 there
+                        v = reduce(v, v, 0)
+                    restricted[v] = restricted.get(v, 0) | mask & pending
+            if span:
+                restricted = _classes(span, restricted.items(), field)
+            classes = list(restricted.values())
+        else:
+            items = [(d, mask & pending) for d, mask in dirs if mask & pending]
+            classes = list(_classes(span, items, field).values())
+        pending = sum(classes)  # with a rest, a or b may lie in the span
+        hits = []
+        for mask in classes:
+            other = pending & ~mask
+            mask &= heads
             while mask:
                 low = mask & -mask
                 mask ^= low
-                unsettled[low.bit_length() - 1] &= keep & ~low
-        if not any(unsettled):
-            return size
-    return need
+                a = low.bit_length() - 1
+                hit = live[a] & (other | low)
+                if hit:
+                    hits.append((a, hit))
+        return hits
+
+    need = kappa  # no start holds fewer columns
+    if kappa >= 3 and open_:  # below 3 the walk is lines
+        # the starts: the coordinate flats, largest first, each the
+        # nonzero columns zero on f rows
+        zero_in = [0] * r
+        for d, mask in dirs:
+            for j in range(r):
+                if not d[j]:
+                    zero_in[j] |= mask
+        starts = []
+        for rows in itertools.combinations(range(r), f):
+            held = -1
+            for j in rows:
+                held &= zero_in[j]
+            starts.append((held.bit_count(), rows, held))
+        unsettled = dict(open_)
+        for size, rows, held in sorted(starts, reverse=True):
+            if size == kappa:
+                break  # the patterns still open start at r - f
+            for a, hit in skew(unsettled, held, (), rows):
+                unsettled[a] &= ~hit
+                if not unsettled[a]:
+                    del unsettled[a]
+            if not unsettled:
+                need = max(kappa, size - ties)
+                break
+    priced = []
+    if kappa > 0:
+        kept: dict = {}  # with ties: (a, b) to the flat of the current size
+        size = 0
+        for flat, basis in _closed_flats(dirs, kappa, need, field):
+            if flat.bit_count() < size:
+                kept = {}
+            if not open_ and not kept:
+                break
+            size = flat.bit_count()
+            live = dict(open_) if kept else open_
+            for (a, b), best in kept.items():
+                # the flat wins when best holds the least block telling
+                # them apart
+                if (flat ^ best) & -(flat ^ best) & best:
+                    live[a] = live.get(a, 0) | 1 << b
+            for a, hit in skew(live, flat, basis):
+                priced.append((flat, a, hit))
+                if open_.get(a, 0) & hit:
+                    open_[a] &= ~hit
+                    if not open_[a]:
+                        del open_[a]
+                if ties:
+                    for b in _bits(hit):
+                        kept[a, b] = flat
+    priced += [(None, a, partners) for a, partners in open_.items()]
+    return need, priced
 
 
 def _pattern_costs(code: SystematicCode, f: int) -> dict[tuple[int, int], int]:
     """Minimal repair cost of every decodable pattern of f = 1 or 2 blocks,
-    keyed (a, b) with a <= b and a lone block a as (a, a), from the flats
-    of rank r - f of the parity-check columns (see the module docstring)."""
-    n, kappa, field = code.n, code.r - f, code.field
+    keyed (a, b) with a <= b and a lone block a as (a, a), from one walk
+    over them all."""
     _, dirs = _directions(code)
     nonzero = sum(mask for _, mask in dirs)  # the directions' masks are disjoint
-    # open_[a]: the blocks b >= a whose pattern with a is decodable and
-    # unpriced; unsettled[p]: likewise over the directions, for the start;
-    # live: the blocks a with open_[a] nonzero
-    open_ = [0] * n
-    if f == 1:
-        for a in _bits(nonzero):
-            open_[a] = 1 << a
-        unsettled = [1 << p for p in range(len(dirs))]
-    else:
-        for _, mask in dirs:
-            for a in _bits(mask):
-                open_[a] = nonzero & ~mask & -(2 << a)
-        unsettled = [-(2 << p) & ((1 << len(dirs)) - 1) for p in range(len(dirs))]
-    live = sum(1 << a for a, mask in enumerate(open_) if mask)
+    open_ = {}  # a: the blocks b >= a whose pattern with a is decodable
+    for _, mask in dirs:
+        for a in _bits(mask):
+            partners = 1 << a if f == 1 else nonzero & ~mask & -(2 << a)
+            if partners:
+                open_[a] = partners
+    need, priced = _walk(code, dirs, f, open_, (), False)
     # a pattern reads every nonzero column but its own and the unfetched ones
     reads = nonzero.bit_count() - f
-    need = kappa  # no start holds fewer columns
-    if kappa >= 3 and live:  # below 3 the walk is lines
-        need = _smallest_start(dirs, f, unsettled, field)
     costs = {}
-    if kappa > 0 and live:
-        for flat, basis in _closed_flats(dirs, kappa, need, field):
-            # the columns of the patterns still open outside the flat
-            pending = 0
-            outside = live & ~flat
-            while outside:
-                low = outside & -outside
-                outside ^= low
-                hit = open_[low.bit_length() - 1] & ~flat
-                if hit:
-                    pending |= low | hit
-            if not pending:
-                continue
-            cost = reads - flat.bit_count()
-            for mask in _outside_classes(dirs, pending, basis, field):
-                # a pattern is skew to the flat when its other block lies
-                # in another class, or is the block itself
-                skew = pending & ~mask
-                for a in _bits(mask & live):
-                    hit = open_[a] & (skew | 1 << a)
-                    if hit:
-                        open_[a] ^= hit
-                        if not open_[a]:
-                            live ^= 1 << a
-                        while hit:
-                            low = hit & -hit
-                            hit ^= low
-                            costs[a + 1, low.bit_length()] = cost
-            if not live:
-                break
-    # a pattern left open starts at need: a larger start is a listed flat
-    for a in _bits(live):
-        for b in _bits(open_[a]):
-            costs[a + 1, b + 1] = reads - need
+    for flat, a, partners in priced:
+        # a pattern left open starts at need: a larger start is a listed flat
+        cost = reads - (need if flat is None else flat.bit_count())
+        while partners:
+            low = partners & -partners
+            partners ^= low
+            costs[a + 1, low.bit_length()] = cost
     return costs
 
 
@@ -374,53 +390,26 @@ def minimal_repair(code: SystematicCode, erased) -> RepairPlan:
     erased = normalize_pattern(code, erased)
     if not erased:
         return RepairPlan((), (), 0)
-    r, f, field = code.r, len(erased), code.field
     cols, dirs = _directions(code)
-    key, reduce = _reduction(field)
+    reduce = _reduction(code.field)[1]
     span: Basis = []  # E's, and from it Gale's greedy basis
     for b in erased:
         if _insert(span, cols[b - 1], reduce) is None:
             raise UndecodableError(erased)
-    e_keys = [v for _, v in span]
-
-    def skew(basis: Basis) -> bool:
-        basis = list(basis)
-        return all(_insert(basis, v, reduce) is not None for v in e_keys)
-
+    nonzero = sum(mask for _, mask in dirs)
     lost = sum(1 << (b - 1) for b in erased)
-    # the largest coordinate flat: the nonzero columns zero on f rows J
-    # on which E is independent (skew to the units outside J)
-    units = [(j, key([int(i == j) for i in range(r)])) for j in range(r)]
-    nonzero, zero_in = _zero_rows(dirs, r)
-    start = r - f
-    for rows in itertools.combinations(range(r), f):
-        held = nonzero
-        for j in rows:
-            held &= zero_in[j]
-        count = held.bit_count()
-        if count > start and skew([u for u in units if u[0] not in rows]):
-            start = count
-    best = size = 0
-    if f < r:
-        # keep the flats tied with the start listed
-        need = max(r - f, start - 1)
-        for flat, basis in _closed_flats(dirs, r - f, need, field):
-            if flat.bit_count() < size:
-                break
-            if flat & lost:
-                continue
-            # a flat tied with best wins when best holds the least block
-            # telling them apart
-            if size and not (flat ^ best) & -(flat ^ best) & best:
-                continue
-            if skew([(_first_nonzero(d), d) for d in basis]):
-                best, size = flat, flat.bit_count()
-    if not size:
+    # the pattern (a, *rest, b) of E's first and last blocks and the rest
+    open_ = {erased[0] - 1: 1 << erased[-1] - 1}
+    rest = [cols[b - 1] for b in erased[1:-1]]
+    _, priced = _walk(code, dirs, len(erased), open_, rest, True)
+    best = priced[-1][0]  # the last flat listing the pattern wins the tie
+    if best is None:
+        best = 0
         # every skew flat is r - f independent columns, a basis of the
         # contraction by E; greedy from the highest index down takes the
         # lexicographically greatest one (Gale)
         for b in reversed(_bits(nonzero & ~lost)):
-            if len(span) == r:
+            if len(span) == code.r:
                 break
             if _insert(span, cols[b], reduce) is not None:
                 best |= 1 << b

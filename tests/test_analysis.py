@@ -10,7 +10,6 @@ from blrc.analysis import (
     _bits,
     _closed_flats,
     _directions,
-    _outside_classes,
     _pattern_costs,
     avg_repair_bandwidth_double,
     avg_repair_bandwidth_single,
@@ -29,7 +28,7 @@ from blrc.code import (
     support_of,
 )
 from blrc.gf import GF256, FieldSpec
-from blrc.linalg import GfMatrix, _flats
+from blrc.linalg import GfMatrix, _classes, _flats
 from blrc.presets import blrc_15_10_w3, blrc_16_10_w2, blrc_16_10_w3
 from blrc.refcodes import build_replication, build_rs
 from blrc.search import random_support
@@ -98,6 +97,24 @@ def test_avg_double_bandwidths(code_15_10, code_16_10_w3, code_16_10_w2):
     d3 = avg_repair_bandwidth_double(code_16_10_w2)
     assert d3.mean_cost == pytest.approx(5.766667, abs=1e-4)
     assert d3.undecodable_pairs == 0
+
+
+def test_triple_plan_totals(code_15_10, code_16_10_w3, code_16_10_w2):
+    # every triple of the bundled codes, which no average prices in bulk:
+    # the mean triple cost is 10 = k for [15,10] w=3, and 127/14 and 419/55
+    # for the [16,10] codes, the w=2 one losing 10 triples
+    for code, total, plans, lost in [
+        (code_15_10, 4550, 455, 0),
+        (code_16_10_w3, 5080, 560, 0),
+        (code_16_10_w2, 4190, 550, 10),
+    ]:
+        costs, undecodable = [], 0
+        for triple in itertools.combinations(range(1, code.n + 1), 3):
+            try:
+                costs.append(minimal_repair(code, triple).cost)
+            except UndecodableError:
+                undecodable += 1
+        assert (sum(costs), len(costs), undecodable) == (total, plans, lost)
 
 
 def test_single_repair_cost_is_l_or_l_plus_one(code_15_10, code_16_10_w2):
@@ -277,7 +294,8 @@ def test_closed_flats_are_each_closed_flat_once_largest_first():
                         span, [cols[b] for b in outside], field
                     )
                     want = [sum(1 << outside[i] for i in m) for m in members]
-                    classes = _outside_classes(dirs, nonzero & ~flat, basis, field)
+                    items = [(d, m & ~flat) for d, m in dirs if m & ~flat]
+                    classes = list(_classes(basis, items, field).values())
                     assert classes == want, (kappa, _bits(flat))
                     checked += 1
     assert checked > 200, checked
@@ -421,11 +439,11 @@ def zero_column_code() -> SystematicCode:
 
 
 def test_pair_costs_match_repair_search():
-    # both walk the same closed flats, but the averages price blocks and
-    # pairs in bulk by the proportional classes outside each flat, and a
-    # plan tests one pattern's skewness by rank; they agree on every
+    # the averages walk every single or pair at once and a plan walks its
+    # one pattern, from its own start and with ties; they agree on every
     # single and pair, and one the averages leave unpriced is one the
-    # plan refuses as undecodable
+    # plan refuses as undecodable (the independent check of the plans is
+    # the all-subsets oracle, in the tests above)
     codes = [dense_global_code(5), dense_global_code(28)]
     codes += [code for code, _ in small_alphabet_codes()]
     codes += [proportional_rows_code(), tied_halves_code()]
@@ -473,21 +491,21 @@ def test_zero_parity_check_column_pairs_are_undecodable():
         assert costs.get(pair) == (expected and expected[0]), pair
 
 
-def _coordinate_starts(code):
-    """Each decodable pair's start, by brute force: the most nonzero
-    columns zero on two rows of H on which the pair's columns are
-    independent; and the columns every pair reads before any stays
+def _coordinate_starts(code, patterns, f):
+    """Each decodable pattern's start, by brute force: the most nonzero
+    columns zero on f rows of H on which the pattern's f columns are
+    independent; and the columns every f-pattern reads before any stays
     unfetched."""
     cols = [code.parity_check_column(b) for b in range(1, code.n + 1)]
     nonzero = [c for c in range(code.n) if any(cols[c])]
     starts = {}
-    for a, b in itertools.combinations(range(code.n), 2):
-        for i, j in itertools.combinations(range(code.r), 2):
-            square = [[cols[a][i], cols[b][i]], [cols[a][j], cols[b][j]]]
-            if oracle_rank(square, code.field) == 2:
-                size = sum(1 for c in nonzero if not cols[c][i] | cols[c][j])
-                starts[a + 1, b + 1] = max(starts.get((a + 1, b + 1), 0), size)
-    return starts, len(nonzero) - 2
+    for pattern in patterns:
+        for rows in itertools.combinations(range(code.r), f):
+            square = [[cols[b - 1][i] for b in pattern] for i in rows]
+            if oracle_rank(square, code.field) == f:
+                size = sum(1 for c in nonzero if not any(cols[c][i] for i in rows))
+                starts[pattern] = max(starts.get(pattern, 0), size)
+    return starts, len(nonzero) - f
 
 
 def _seeded_code(n, k, w, seed):
@@ -512,10 +530,11 @@ def _seeded_code(n, k, w, seed):
     ids=["15-10-w3", "16-10-w3", "16-10-w2", "15-10-w3-s1", "18-12-w3-s5", "11-7-w2-s1"],
 )
 def test_pair_costs_from_coordinate_starts(build, smallest_start, beaten):
-    # a pair costs at most reads - its start; the walk lists only flats
+    # a pattern costs at most reads - its start; the walk lists only flats
     # above the smallest start and prices the pairs it leaves at it
     code = build()
-    starts, reads = _coordinate_starts(code)
+    blocks = range(1, code.n + 1)
+    starts, reads = _coordinate_starts(code, itertools.combinations(blocks, 2), 2)
     assert min(starts.values()) == smallest_start
     costs = _pattern_costs(code, 2)
     plans = {pair: minimal_repair(code, pair) for pair in starts}
@@ -526,6 +545,12 @@ def test_pair_costs_from_coordinate_starts(build, smallest_start, beaten):
     for pair in checked:
         plan = plans[pair]
         assert minimal_repair_all_subsets(code, pair) == (plan.cost, plan.helpers)
+    # every single and sampled triples: a plan never costs more
+    triples = random.Random(code.n).sample(list(itertools.combinations(blocks, 3)), 30)
+    for f, patterns in [(1, [(b,) for b in blocks]), (3, triples)]:
+        starts, reads = _coordinate_starts(code, patterns, f)
+        for pattern, start in starts.items():
+            assert minimal_repair(code, pattern).cost <= reads - start, pattern
 
 
 def test_parity_pair_plans_match_oracle():

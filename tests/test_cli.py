@@ -472,16 +472,19 @@ def test_repair_stem_naming_no_file(capsys, code_file, tmp_path):
     assert err == f"error: no shard files found in {shard_dir}\n"
 
 
-def test_repair_of_a_zero_block_is_an_error_not_a_traceback(capsys, tmp_path):
+def test_repair_of_a_zero_block_writes_its_shard(capsys, tmp_path):
     # a valid [7, 2] w=1 code has all-zero parities, whose plans read no
-    # helper, so no header gives the stripes of the shard to write
+    # helper: the shard is zeros, with the stripes of a present header
     spec = CodeSpec(7, 2, 1)
     code = assign_coefficients(random_support(spec, 1), spec, seed=1)
     assert [row[2] for row in code.P.data] == [0, 0]
     code_file = tmp_path / "short.code"
     code_file.write_text(write_code_text(code), encoding="ascii")
     shard_dir = _encoded(capsys, code_file, tmp_path)
+    encoded = (shard_dir / "a.bin.s05").read_bytes()
     (shard_dir / "a.bin.s05").unlink()
     rc, out, err = run(capsys, "repair", str(code_file),
                        "--shards", str(shard_dir))
-    assert (rc, out, err) == (1, "", "error: no shards to read\n")
+    assert (rc, err) == (0, "")
+    assert out == "repaired shards [5] by reading 0 helpers: []\n"
+    assert (shard_dir / "a.bin.s05").read_bytes() == encoded

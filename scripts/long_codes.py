@@ -1,13 +1,15 @@
-"""Time both repair averages and repair plans on three long random codes,
-each measurement in a fresh process, and print its CPU time and the
-process's peak RSS.
+"""Time both repair averages, repair plans and the decodability census on
+three long random codes, each measurement in a fresh process, and print
+its CPU time and the process's peak RSS.
 
 The codes are random_support(spec, 1) with coefficient seed 1 for [28,20]
 w=3, [32,24] w=3 and [30,20] w=2: the shapes whose flat listings are the
 longest measured.  The plans are made through minimal_repair: plan erases
 block 1, singles erases each block in turn, and triples erases 12
 triples drawn with random.Random(1); their value is the total cost of the
-decodable ones.
+decodable ones.  census is undecodable_counts to f = r, the depth of
+every report of these codes; its value is the number of undecodable
+r-sets.
 
 Usage: python scripts/long_codes.py
 """
@@ -20,7 +22,7 @@ import resource
 import time
 
 SHAPES = ((28, 20, 3), (32, 24, 3), (30, 20, 2))
-MEASURES = ("double", "single", "plan", "singles", "triples")
+MEASURES = ("double", "single", "plan", "singles", "triples", "census")
 
 
 def measure(shape, what):
@@ -30,6 +32,7 @@ def measure(shape, what):
         avg_repair_bandwidth_double,
         avg_repair_bandwidth_single,
         minimal_repair,
+        undecodable_counts,
     )
     from blrc.code import CodeSpec, UndecodableError, assign_coefficients
     from blrc.search import random_support
@@ -48,6 +51,8 @@ def measure(shape, what):
         value = f"{avg_repair_bandwidth_double(code).mean_cost:.6f}"
     elif what == "single":
         value = f"{avg_repair_bandwidth_single(code):.6f}"
+    elif what == "census":
+        value = f"{undecodable_counts(code, code.r)[code.r]}"
     else:
         total = lost = 0
         for pattern in patterns:

@@ -81,15 +81,21 @@ lexicographically greatest one.
 
 The decodability census counts the undecodable f-subsets, those with
 dependent parity-check columns, as comb(n, f) less the independent ones.
-linalg.independent_prefixes lists the independent column sets in
-lexicographic order, each with the later columns split into proportional
-classes modulo its span: adding a column from one class reduces the others
-by that class's direction alone.  The classes of a set S count the next
-two sizes without field arithmetic: S + b is independent when b lies in
-a class, and S + b + c when b and c lie in two different classes.  So the
-walk stops two columns short of the largest size counted.
-minimum_distance and the rank condition read their first dependent
-subsets from the same walk.
+It walks linalg._independent_walk class by class.  A node is an
+independent set's classes: the columns it may grow by, split into
+proportional classes modulo its span.  The set grows by a column of one
+class into the classes after it, each reduced by that class's direction
+alone, the walk's one step.  Every independent set is reached once, by
+taking at each node the first class that holds one of its columns, so a
+node stands for as many sets as the product of the sizes of the classes
+taken.  A node's classes count the next three sizes at once: a column
+from any class, two from two different classes, and three from three
+classes when the last two stay in different classes modulo the first
+one's direction, one step per class.  So the walk stops three columns
+short of the largest size counted.  build_report reads the minimum
+distance off this census; minimum_distance and the rank condition read
+their first dependent subsets from linalg.independent_prefixes, the same
+walk on the same step, by positions in lexicographic order.
 
 The test suite checks every plan kind against an independent all-subsets
 oracle, and both averages against the plans for every single and pair.
@@ -108,7 +114,8 @@ from .code import (
     BlrcCode,
     SystematicCode,
     UndecodableError,
-    minimum_distance,
+    _check_distance,
+    minimum_distance,  # noqa: F401  (a module global the benchmark trace wraps)
     recovery_coefficients,
     update_complexity,
 )
@@ -118,8 +125,8 @@ from .linalg import (
     _first_nonzero,
     _flats,
     _insert,
+    _independent_walk,
     _reduction,
-    independent_prefixes,
 )
 
 ErasurePattern = tuple[int, ...]
@@ -465,20 +472,36 @@ def undecodable_counts(code: SystematicCode, f_max: int) -> dict[int, int]:
     if depth_cap == 0:
         return counts
     hcols = [code.parity_check_column(b) for b in range(1, n + 1)]
+    root, quotient = _independent_walk(hcols, code.field)
     # independent[f]: the independent f-subsets
-    independent = [0] * (depth_cap + 1)
-    longest = max(depth_cap - 2, 0)
-    for prefix, _, classes in independent_prefixes(hcols, longest, code.field):
-        depth = len(prefix)
-        independent[depth] += 1
-        if depth == longest:
-            sizes = [mask.bit_count() for mask in classes.values()]
-            live = sum(sizes)
-            independent[depth + 1] += live
-            if depth + 2 == depth_cap:
-                # pairs of later columns from two different classes
-                squares = sum(size * size for size in sizes)
-                independent[depth + 2] += (live * live - squares) // 2
+    longest = max(depth_cap - 3, 0)
+    independent = [0] * (longest + 4)
+
+    def walk(items, depth, sets):
+        # items: the classes of a node standing for sets independent
+        # depth-sets; later counts the columns of the classes after own
+        independent[depth] += sets
+        sizes = [mask.bit_count() for _, mask in items]
+        if depth < longest:
+            for i, (own, _) in enumerate(items):
+                merged = quotient(items[i + 1 :], own, -1)
+                walk(list(merged.items()), depth + 1, sets * sizes[i])
+            return
+        later = sum(sizes)
+        pairs = triples = 0
+        for i, (own, _) in enumerate(items):
+            size = sizes[i]
+            later -= size
+            pairs += size * later
+            if i + 2 < len(items):
+                merged = quotient(items[i + 1 :], own, -1)
+                squares = sum([mask.bit_count() ** 2 for mask in merged.values()])
+                triples += size * (later * later - squares)
+        independent[depth + 1] += sets * sum(sizes)
+        independent[depth + 2] += sets * pairs
+        independent[depth + 3] += sets * (triples // 2)
+
+    walk(list(root.items()), 0, 1)
     for f in range(1, depth_cap + 1):
         counts[f] = math.comb(n, f) - independent[f]
     return counts
@@ -500,7 +523,13 @@ def build_report(code: SystematicCode) -> MetricsReport:
     bandwidths, update complexity, decodability profile, distance.
 
     The profile runs to depth w+3, extended through r so the report can
-    always seed a reliability chain.
+    always seed a reliability chain, and the distance is read off it: the
+    least f <= r with an undecodable f-set, else r + 1, as
+    minimum_distance finds it.  p_f = 1 - u / C with integers
+    0 <= u <= C = comb(n, f) is below 1.0 exactly when u >= 1: u / C is
+    then at least 1 / C > 2^-53 for every C < 2^53, which holds for any
+    census that can finish, and 1.0 less anything from 2^-53 up rounds
+    to at most 1 - 2^-53.
     """
     k, r, n = code.k, code.r, code.n
     if isinstance(code, BlrcCode):
@@ -518,7 +547,9 @@ def build_report(code: SystematicCode) -> MetricsReport:
         avg_column_weight=nonzeros / r,
         update_complexity=update_complexity(code),
         decodability=profile,
-        min_distance=minimum_distance(code),
+        min_distance=_check_distance(
+            code, next((f for f in range(1, r + 1) if profile[f] < 1.0), r + 1)
+        ),
         double_undecodable_pairs=double.undecodable_pairs,
     )
     _check_profile(report.decodability)

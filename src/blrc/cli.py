@@ -19,7 +19,6 @@ from .analysis import (
     avg_repair_bandwidth_double,
     avg_repair_bandwidth_single,
     build_report,
-    decodability_profile,
     minimal_repair,
 )
 from .code import ConstructionError, UndecodableError, validate
@@ -141,12 +140,15 @@ def cmd_analyze(args) -> int:
     if args.fmax is not None and not 1 <= args.fmax <= code.n:
         raise CliError(f"--fmax {args.fmax} outside 1..{code.n}")
     # the chain needs the full-depth profile even when the displayed
-    # report is cut or deepened with --fmax
+    # report is cut or deepened with --fmax; the report's profile runs
+    # through r, and more than r blocks are never decodable
     report = build_report(code)
     shown = report
     if args.fmax is not None:
+        profile = report.decodability
         shown = dataclasses.replace(
-            report, decodability=decodability_profile(code, args.fmax)
+            report,
+            decodability={f: profile.get(f, 0.0) for f in range(1, args.fmax + 1)},
         )
     stripe = system = units = None
     if args.params or args.with_mttdl:

@@ -453,6 +453,12 @@ def minimum_distance(code: SystematicCode) -> int:
         for f in range(1, code.r + 2)
         if _first_dependent_subset(H, f) is not None
     )
+    return _check_distance(code, d)
+
+
+def _check_distance(code: SystematicCode, d: int) -> int:
+    """d, once checked against the locality distance bound when code is
+    a balanced LRC."""
     if isinstance(code, BlrcCode):
         bound = gopalan_bound(code.n, code.k, effective_locality(code.spec))
         if d > bound:

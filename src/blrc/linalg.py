@@ -19,11 +19,15 @@ _classes reduces many keys modulo a span in one call and groups the
 residuals by proportionality (the directions of the parity-check
 columns, and the classes outside each flat, keys that analysis holds).
 
-independent_prefixes walks the independent increasing position tuples of
-a vector list in the quotient: each tuple carries the later vectors as
+_independent_walk is the walk over the independent sets of a vector list,
+in the quotient: each set carries the vectors it may grow by as
 proportional classes modulo its span, so growing it by one vector reduces
-every class by that one direction.  The decodability census, the minimum
-distance and the rank condition all read their dependent subsets from it.
+every class by that one direction.  That one step, its quotient, is the
+only reduction loop of the walk, under both of its users:
+independent_prefixes, which yields the independent increasing position
+tuples in lexicographic order, for the first dependent subsets of the
+minimum distance and the rank condition, and the decodability census,
+which walks the sets class by class and counts each node's sets at once.
 
 _flats is the same walk over the directions of the parity-check
 columns, for the repair averages: a flat found from its first direction
@@ -223,6 +227,49 @@ def _classes(span, items, field: FieldSpec) -> dict:
     return classes
 
 
+def _independent_walk(vectors: Sequence[Sequence[int]], field: FieldSpec):
+    """(classes, quotient): the root of the walks over the independent
+    sets of vectors, in the quotient, and their one step.
+
+    A node of a walk is an independent set's classes: the vectors it may
+    still grow by, split into proportional classes modulo its span, each
+    keyed by its residual scaled to 1 at its first nonzero entry, as a
+    key of _reduction(field), with the mask of its positions.  The root is
+    the empty set's, the classes of every nonzero vector.
+    quotient(items, own, above) takes (key, mask) items of a node and the
+    key own of one of its classes: it cuts each mask to above, drops own's
+    class and the emptied items, and splits the rest into the classes
+    modulo the span grown by own's direction, the node of the set grown
+    by a vector of own's class.  Modulo the old span the new one adds only
+    that direction, so reducing every other key by it alone gives them,
+    and a key that is zero at own's pivot stays as it is.
+    independent_prefixes grows a tuple by each later position b, cutting
+    to the positions past b; the decodability census grows a set by each
+    class, into the classes after it, and counts the sets of a node as
+    the product of the sizes of the classes taken.
+    """
+    key, reduce = _reduction(field)
+    pivots: dict = {}
+
+    def quotient(items, own, above: int) -> dict:
+        pivot = pivots.get(own)
+        if pivot is None:
+            pivot = pivots[own] = _first_nonzero(own)
+        out: dict = {}
+        for v, mask in items:
+            mask &= above
+            if not mask or v is own:  # own is the node's own key object
+                continue
+            a = v[pivot]
+            if a:  # v is not own's direction, so the residual is not zero
+                v = reduce(v, own, a)
+            out[v] = out.get(v, 0) | mask
+        return out
+
+    items = [(reduce(key(v), key(v), 0), 1 << b) for b, v in enumerate(vectors)]
+    return _classes((), items, field), quotient
+
+
 def independent_prefixes(
     vectors: Sequence[Sequence[int]], longest: int, field: FieldSpec
 ) -> Iterator[tuple[tuple[int, ...], int, dict]]:
@@ -232,56 +279,42 @@ def independent_prefixes(
 
     dead masks the later positions whose vectors lie in the prefix's span.
     classes maps each proportional class of the other later vectors modulo
-    that span to its mask, keyed by the class's residual scaled to 1 at
-    its first nonzero entry, as a key of _reduction(field): bytes for
-    m <= 8, so callers read only the masks.  Adding position b of class C
-    kills (dead | C) past b.  Modulo the old span the new one adds only
-    C's direction, so reducing every other key by it alone gives the new
-    classes, and a key that is zero at the pivot of C's stays as it is.
+    that span to its mask, keyed as _independent_walk keys them, so
+    callers read only the masks.  Adding position b of class C kills
+    (dead | C) past b.
 
     The classes answer the next two lengths without field arithmetic:
     prefix + (b,) is independent when b lies in a class, and
     prefix + (b, c) when b < c lie in two different classes.
     """
-    key, reduce = _reduction(field)
-    pivots: dict = {}
+    classes, quotient = _independent_walk(vectors, field)
 
     def expand(prefix, dead, classes):
         yield prefix, dead, classes
         if len(prefix) == longest:
             return
+        items = classes.items()
         live = 0
         for mask in classes.values():
             live |= mask
         while live:
             low = live & -live
             live ^= low
-            for own, own_mask in classes.items():
+            for own, own_mask in items:
                 if own_mask & low:
                     break
-            pivot = pivots.get(own)
-            if pivot is None:
-                pivot = pivots[own] = _first_nonzero(own)
             above = -(low << 1)
-            child: dict = {}
-            for v, mask in classes.items():
-                mask &= above
-                if not mask or v is own:  # own is this dict's key object
-                    continue
-                a = v[pivot]
-                if a:  # v is not own's direction, so the residual is not zero
-                    v = reduce(v, own, a)
-                child[v] = child.get(v, 0) | mask
             yield from expand(
-                prefix + (low.bit_length() - 1,), (dead | own_mask) & above, child
+                prefix + (low.bit_length() - 1,),
+                (dead | own_mask) & above,
+                quotient(items, own, above),
             )
 
     dead = 0
     for b, v in enumerate(vectors):
         if not any(v):
             dead |= 1 << b
-    items = [(reduce(key(v), key(v), 0), 1 << b) for b, v in enumerate(vectors)]
-    yield from expand((), dead, _classes((), items, field))
+    yield from expand((), dead, classes)
 
 
 def _flats(dirs, kappa: int, need: int, field: FieldSpec) -> list:

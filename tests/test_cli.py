@@ -71,20 +71,43 @@ def test_analyze_rejects_fmax_outside_code_length(capsys, monkeypatch, fmax):
     assert err.startswith("error:") and "1..15" in err
 
 
-def test_analyze_fmax_with_mttdl_builds_one_report(capsys, monkeypatch):
-    reports = []
+FMAX_ROWS = [
+    "decodability_p1 1.000000 probability",
+    "decodability_p2 1.000000 probability",
+    "decodability_p3 1.000000 probability",
+    "decodability_p4 0.992674 probability",
+    "decodability_p5 0.896770 probability",
+] + [f"decodability_p{f} 0.000000 probability" for f in range(6, 16)]
+
+
+def _analyze_with_one_census(capsys, monkeypatch, fmax):
+    """The output lines of analyze --fmax fmax --with-mttdl of the bundled
+    [15,10] code, asserting that it built one report and ran one census,
+    to the report's depth 6."""
+    reports, censuses = [], []
 
     def counted(code):
         reports.append(analysis.build_report(code))
         return reports[-1]
 
+    def census(code, f_max):
+        censuses.append(f_max)
+        return undecodable_counts(code, f_max)
+
+    undecodable_counts = analysis.undecodable_counts
     monkeypatch.setattr(cli, "build_report", counted)
+    monkeypatch.setattr(analysis, "undecodable_counts", census)
     rc, out, _ = run(
-        capsys, "analyze", "blrc-15-10-w3", "--fmax", "4", "--with-mttdl"
+        capsys, "analyze", "blrc-15-10-w3", "--fmax", str(fmax), "--with-mttdl"
     )
     assert rc == 0
     assert len(reports) == 1
-    assert out.splitlines() == [
+    assert censuses == [6]
+    return out.splitlines()
+
+
+def _report_lines(rows):
+    return [
         "blrc-report v1",
         "n 15 blocks",
         "k 10 blocks",
@@ -94,14 +117,28 @@ def test_analyze_fmax_with_mttdl_builds_one_report(capsys, monkeypatch):
         "avg_column_weight 6 blocks",
         "update_complexity 4 writes",
         "min_distance 4 blocks",
-        "decodability_p1 1.000000 probability",
-        "decodability_p2 1.000000 probability",
-        "decodability_p3 1.000000 probability",
-        "decodability_p4 0.992674 probability",
+        *rows,
         "mttdl_stripe 2.63237e+21 days",
         "mttdl_system 3.36944e+14 days",
         "units decimal convention",
     ]
+
+
+def test_analyze_fmax_with_mttdl_builds_one_report(capsys, monkeypatch):
+    lines = _analyze_with_one_census(capsys, monkeypatch, 4)
+    assert lines == _report_lines(FMAX_ROWS[:4])
+
+
+def test_analyze_fmax_past_the_report_depth(capsys, monkeypatch):
+    # rows past the report's depth have f > r = 5, so p_f = 0.0, which is
+    # what a census to f = 15 gives
+    lines = _analyze_with_one_census(capsys, monkeypatch, 15)
+    assert lines == _report_lines(FMAX_ROWS)
+    code = blrc_15_10_w3()
+    profile = analysis.build_report(code).decodability
+    assert {f: profile.get(f, 0.0) for f in range(1, 16)} == (
+        analysis.decodability_profile(code, 15)
+    )
 
 
 def test_analyze_rejects_invalid_code(capsys, tmp_path):

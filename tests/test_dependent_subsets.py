@@ -1,5 +1,7 @@
 """Dependent subsets of parity-check columns and of parity-matrix rows:
-the decodability census, the minimum distance and the rank condition.
+the decodability census, the minimum distance (from minimum_distance's
+own walk and from the census behind build_report) and the rank
+condition.
 
 The pinned figures below were taken from the per-prefix elimination walk
 that preceded the quotient walk; every count, distance and message must
@@ -12,11 +14,12 @@ import random
 
 import pytest
 
-from blrc.analysis import undecodable_counts
+from blrc.analysis import build_report, undecodable_counts
 from blrc.code import (
     CodeSpec,
     ConstructionError,
     SystematicCode,
+    UndecodableError,
     _first_dependent_subset,
     assign_coefficients,
     minimum_distance,
@@ -88,6 +91,7 @@ def test_census_and_distance_pinned(name):
     counts, distance = PINNED[name]
     assert undecodable_counts(code, code.n) == dict(enumerate(counts, 1))
     assert minimum_distance(code) == distance
+    assert build_report(code).min_distance == distance
 
 
 def _with_row(builder, target, a, b, scale):
@@ -136,12 +140,13 @@ SMALL_FIELDS = (
 )
 
 
-def _small_field_code(rng, field=None):
+def _small_field_code(rng, field=None, r=None):
     """A SystematicCode over field, by default one of GF(2)..GF(16) drawn
-    from rng, whose parity matrix is 70% filled, with some rows zeroed and
-    some made multiples of others."""
+    from rng, with r parities, by default 1 to 4 drawn from rng, whose
+    parity matrix is 70% filled, with some rows zeroed and some made
+    multiples of others."""
     field = field or rng.choice(SMALL_FIELDS)
-    k, r = rng.randint(2, 6), rng.randint(1, 4)
+    k, r = rng.randint(2, 6), r or rng.randint(1, 4)
     data = [
         [rng.randrange(1, field.order) if rng.random() < 0.7 else 0
          for _ in range(r)]
@@ -190,14 +195,42 @@ def _check_against_brute_force(code):
             assert _first_dependent_subset(M, max_size) == (
                 _first_dependent_by_brute_force(vectors, max_size, field)
             ), (vectors, max_size)
-    assert minimum_distance(code) == min_distance_by_patterns(code)
+    distance = min_distance_by_patterns(code)
+    assert minimum_distance(code) == distance
+    if distance == 1:  # a zero column, whose single repair is undefined
+        with pytest.raises(UndecodableError):
+            build_report(code)
+    else:
+        assert build_report(code).min_distance == distance, code.P.data
+    return distance
 
 
 def test_small_field_codes_match_brute_force():
     rng = random.Random(20161)
-    for _ in range(200):
-        _check_against_brute_force(_small_field_code(rng))
+    distances = [
+        _check_against_brute_force(_small_field_code(rng)) for _ in range(200)
+    ]
     # GF(2^16) codes, walked by the tuple step, with scaled-copy rows
     rng, wide = random.Random(20162), FieldSpec(16, 0x1100B)
     for _ in range(40):
-        _check_against_brute_force(_small_field_code(rng, wide))
+        distances.append(_check_against_brute_force(_small_field_code(rng, wide)))
+    # build_report reads distances 2 to 4 off its census here
+    assert set(distances) == {1, 2, 3, 4}
+
+
+def test_deep_census_matches_brute_force():
+    # at r = 5 and 6 the census walks classes two and three levels down
+    # before its last level, and small fields merge many of them
+    rng = random.Random(20163)
+    for _ in range(40):
+        code = _small_field_code(rng, r=rng.choice((5, 6)))
+        n, field = code.n, code.field
+        hcols = [code.parity_check_column(b) for b in range(1, n + 1)]
+        want = {
+            f: sum(
+                _dependent(hcols, s, field)
+                for s in itertools.combinations(range(n), f)
+            )
+            for f in range(1, n + 1)
+        }
+        assert undecodable_counts(code, n) == want, code.P.data

@@ -1,6 +1,6 @@
-"""Time both repair averages, repair plans and the decodability census on
-three long random codes, each measurement in a fresh process, and print
-its CPU time and the process's peak RSS.
+"""Time both repair averages, repair plans, the decodability census and
+the minimum distance on three long random codes, each measurement in a
+fresh process, and print its CPU time and the process's peak RSS.
 
 The codes are random_support(spec, 1) with coefficient seed 1 for [28,20]
 w=3, [32,24] w=3 and [30,20] w=2: the shapes whose flat listings are the
@@ -9,7 +9,8 @@ block 1, singles erases each block in turn, and triples erases 12
 triples drawn with random.Random(1); their value is the total cost of the
 decodable ones.  census is undecodable_counts to f = r, the depth of
 every report of these codes; its value is the number of undecodable
-r-sets.
+r-sets.  distance is minimum_distance, the census of the parity-check
+columns to depth w + 1.
 
 Usage: python scripts/long_codes.py
 """
@@ -22,7 +23,9 @@ import resource
 import time
 
 SHAPES = ((28, 20, 3), (32, 24, 3), (30, 20, 2))
-MEASURES = ("double", "single", "plan", "singles", "triples", "census")
+MEASURES = (
+    "double", "single", "plan", "singles", "triples", "census", "distance",
+)
 
 
 def measure(shape, what):
@@ -34,7 +37,12 @@ def measure(shape, what):
         minimal_repair,
         undecodable_counts,
     )
-    from blrc.code import CodeSpec, UndecodableError, assign_coefficients
+    from blrc.code import (
+        CodeSpec,
+        UndecodableError,
+        assign_coefficients,
+        minimum_distance,
+    )
     from blrc.search import random_support
 
     spec = CodeSpec(*shape)
@@ -53,6 +61,8 @@ def measure(shape, what):
         value = f"{avg_repair_bandwidth_single(code):.6f}"
     elif what == "census":
         value = f"{undecodable_counts(code, code.r)[code.r]}"
+    elif what == "distance":
+        value = f"{minimum_distance(code)}"
     else:
         total = lost = 0
         for pattern in patterns:
@@ -69,13 +79,13 @@ def measure(shape, what):
 
 def run() -> None:
     spawn = multiprocessing.get_context("spawn")
-    print(f"{'code':<14}{'measure':<9}{'value':>12}{'cpu_s':>9}{'peak_MB':>9}")
+    print(f"{'code':<14}{'measure':<10}{'value':>12}{'cpu_s':>9}{'peak_MB':>9}")
     for n, k, w in SHAPES:
         for what in MEASURES:
             with spawn.Pool(1) as pool:
                 value, seconds, peak = pool.apply(measure, ((n, k, w), what))
             label = f"[{n},{k}] w={w}"
-            print(f"{label:<14}{what:<9}{value:>12}{seconds:>9.3f}{peak:>9.1f}")
+            print(f"{label:<14}{what:<10}{value:>12}{seconds:>9.3f}{peak:>9.1f}")
 
 
 def main(argv=None) -> None:

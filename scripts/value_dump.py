@@ -22,6 +22,12 @@ it.  The sections are:
             over GF(2^4), GF(2^8) and GF(2^16), and recovery_coefficients
             of every decodable pattern of 3 or fewer blocks of the bundled
             codes, with every survivor and with the plan's helpers;
+  rank      validate's rank_condition clause of seeded parity matrices
+            over GF(2^2), GF(2^4) and GF(2^8) with few distinct
+            coefficients, so that dependent rows are common;
+            assign_coefficients over GF(2^2) for seeds 0-29 (P, or the
+            ConstructionError text); and minimum_distance of every code
+            of the averages section;
   cli       stdout, stderr, exit code and the files written of blrc
             commands run in process from a temporary working directory
             with relative paths: compare (table, CSV, --bandwidth-csv),
@@ -54,8 +60,10 @@ from blrc import (
     avg_repair_bandwidth_single,
     build_report,
     minimal_repair,
+    minimum_distance,
     rank,
     solve,
+    validate,
 )
 from blrc import cli
 from blrc.code import recovery_coefficients
@@ -84,6 +92,10 @@ SHORT_SEARCHES = (
     (11, 7, 3), (12, 8, 3), (14, 10, 3), (15, 10, 4), (16, 10, 3),
 )
 GF65536 = FieldSpec(16, 0x1100B)
+GF4 = FieldSpec(2, 0b111)
+RANK_FIELDS = (GF4, FieldSpec(4, 0b10011), GF256)
+RANK_SHAPES = ((12, 8, 3), (11, 7, 2), (16, 10, 3), (15, 10, 4))
+RANK_MATRICES = 60
 MATRIX_FIELDS = (FieldSpec(4, 0b10011), GF256, GF65536)
 MATRICES = 400
 BUNDLED_NAMES = ("blrc-15-10-w3", "blrc-16-10-w3", "blrc-16-10-w2")
@@ -169,6 +181,7 @@ def sections():
         for p in itertools.combinations(range(1, code.n + 1), 3)
     ]
     yield "linalg", _matrix_lines() + _recovery_lines(bundled)
+    yield "rank", _rank_lines(codes)
     yield "cli", _cli_lines()
 
 
@@ -191,6 +204,35 @@ def _matrix_lines():
         except SingularMatrixError as exc:
             solved = str(exc)
         lines.append((field.m, rank(A), span_coefficients(A, target), solved))
+    return lines
+
+
+def _rank_lines(codes):
+    """validate's rank clause of seeded parity matrices, assign_coefficients
+    over GF(2^2) with a short retry budget, and minimum_distance of codes."""
+    rng, lines = random.Random(25), []
+    for field, shape, _ in itertools.product(
+        RANK_FIELDS, RANK_SHAPES, range(RANK_MATRICES)
+    ):
+        spec = CodeSpec(*shape, field)
+        values = [rng.randrange(1, field.order) for _ in range(3)]
+        support = random_support(spec, rng.randrange(2**32))
+        data = [[0] * spec.r for _ in range(spec.k)]
+        for i, cols in enumerate(support):
+            for j in cols:
+                data[i][j] = rng.choice(values)
+        clause = validate(GfMatrix(data, field), spec).clauses[-1]
+        lines.append((field.m, shape, clause.name, clause.passed, clause.detail))
+    for shape, seed in itertools.product(RANK_SHAPES, range(30)):
+        spec = CodeSpec(*shape, GF4)
+        try:
+            code = assign_coefficients(
+                random_support(spec, seed), spec, seed=seed, max_attempts=4
+            )
+            lines.append((shape, seed, code.P.data))
+        except ConstructionError as exc:
+            lines.append((shape, seed, str(exc)))
+    lines += [(label, minimum_distance(code)) for label, code in codes]
     return lines
 
 

@@ -81,21 +81,14 @@ lexicographically greatest one.
 
 The decodability census counts the undecodable f-subsets, those with
 dependent parity-check columns, as comb(n, f) less the independent ones.
-It walks linalg._independent_walk class by class.  A node is an
-independent set's classes: the columns it may grow by, split into
-proportional classes modulo its span.  The set grows by a column of one
-class into the classes after it, each reduced by that class's direction
-alone, the walk's one step.  Every independent set is reached once, by
-taking at each node the first class that holds one of its columns, so a
-node stands for as many sets as the product of the sizes of the classes
-taken.  A node's classes count the next three sizes at once: a column
-from any class, two from two different classes, and three from three
-classes when the last two stay in different classes modulo the first
-one's direction, one step per class.  So the walk stops three columns
-short of the largest size counted.  build_report reads the minimum
-distance off this census; minimum_distance and the rank condition read
-their first dependent subsets from linalg.independent_prefixes, the same
-walk on the same step, by positions in lexicographic order.
+linalg._dependent_counts walks the independent sets class by class: a
+node is an independent set's classes, the columns it may grow by split
+into proportional classes modulo its span, and it stands for as many sets
+as the product of the sizes of the classes taken.  A node's classes count
+the next three sizes at once, so the walk stops three columns short of
+the largest size counted.  build_report reads the minimum distance off
+this census; minimum_distance and the rank condition run the same census,
+on the parity-check columns and on the rows of P.
 
 The test suite checks every plan kind against an independent all-subsets
 oracle, and both averages against the plans for every single and pair.
@@ -122,10 +115,10 @@ from .code import (
 from .linalg import (
     Basis,
     _classes,
+    _dependent_counts,
     _first_nonzero,
     _flats,
     _insert,
-    _independent_walk,
     _reduction,
 )
 
@@ -461,50 +454,15 @@ def undecodable_counts(code: SystematicCode, f_max: int) -> dict[int, int]:
     """Number of undecodable f-subsets for every f in 1..f_max.
 
     A pattern is undecodable exactly when its parity-check columns are
-    dependent.  More than r columns always are; below that, the quotient
-    walk counts the independent sets (see the module docstring).
+    dependent.  More than r columns always are; below that, the census
+    counts them (see the module docstring).
     """
     n, r = code.n, code.r
-    counts = {f: 0 for f in range(1, f_max + 1)}
-    for f in range(r + 1, f_max + 1):
-        counts[f] = math.comb(n, f)
-    depth_cap = min(f_max, r)
-    if depth_cap == 0:
-        return counts
     hcols = [code.parity_check_column(b) for b in range(1, n + 1)]
-    root, quotient = _independent_walk(hcols, code.field)
-    # independent[f]: the independent f-subsets
-    longest = max(depth_cap - 3, 0)
-    independent = [0] * (longest + 4)
-
-    def walk(items, depth, sets):
-        # items: the classes of a node standing for sets independent
-        # depth-sets; later counts the columns of the classes after own
-        independent[depth] += sets
-        sizes = [mask.bit_count() for _, mask in items]
-        if depth < longest:
-            for i, (own, _) in enumerate(items):
-                merged = quotient(items[i + 1 :], own, -1)
-                walk(list(merged.items()), depth + 1, sets * sizes[i])
-            return
-        later = sum(sizes)
-        pairs = triples = 0
-        for i, (own, _) in enumerate(items):
-            size = sizes[i]
-            later -= size
-            pairs += size * later
-            if i + 2 < len(items):
-                merged = quotient(items[i + 1 :], own, -1)
-                squares = sum([mask.bit_count() ** 2 for mask in merged.values()])
-                triples += size * (later * later - squares)
-        independent[depth + 1] += sets * sum(sizes)
-        independent[depth + 2] += sets * pairs
-        independent[depth + 3] += sets * (triples // 2)
-
-    walk(list(root.items()), 0, 1)
-    for f in range(1, depth_cap + 1):
-        counts[f] = math.comb(n, f) - independent[f]
-    return counts
+    counts = _dependent_counts(hcols, min(f_max, r), code.field)
+    return {
+        f: counts[f] if f <= r else math.comb(n, f) for f in range(1, f_max + 1)
+    }
 
 
 def decodability_profile(code: SystematicCode, f_max: int) -> dict[int, float]:

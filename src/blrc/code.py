@@ -15,6 +15,13 @@ patterns that mix data and parity blocks.  So a code that passes validate,
 such as an unscreened assign_coefficients draw, can have distance below
 w+1 and fewer decodable patterns than its support allows;
 minimum_distance and the decodability profile report the true values.
+
+One census of dependent sets, linalg._dependent_counts, answers both:
+of the rows of P to depth w for the rank condition of validate and of
+every assign_coefficients draw, and of the parity-check columns for
+minimum_distance.  Only a failed rank condition walks row positions, to
+name its lexicographically first dependent subset.
+
 Single-block repair touches l or l+1 blocks.  Blocks are 1-indexed: 1..k
 systematic, k+1..n parity.
 """
@@ -30,9 +37,9 @@ from .gf import GF256, FieldSpec
 from .linalg import (
     Basis,
     GfMatrix,
+    _dependent_counts,
     _insert,
     _reduction,
-    independent_prefixes,
     span_coefficients,
 )
 
@@ -192,36 +199,28 @@ def _first_dependent_subset(
     """The lexicographically first subset of at most max_size rows of P
     whose rows are dependent, or None.
 
-    Every proper prefix of that subset is independent, so the quotient
-    walk over independent prefixes (linalg.independent_prefixes) reaches
-    the subset less its last row or, two rows short of max_size, less its
-    last two.  A prefix S offers S + (d,) for its first dead row d.  The
-    deepest ones also offer S + (b, c) for each class: b its first row
-    and c the first dead or same-class row after b.  Prefixes come in
-    lexicographic order, so the walk stops at the first one past the best
-    offer.
+    Every proper prefix of that subset is independent, and a prefix comes
+    before its extensions, so a depth-first walk over the independent
+    increasing tuples, each growing a copy of its prefix's Basis by one
+    row, returns the first tuple whose last row lies in its prefix's span.
+    It visits every independent tuple before that one, so it runs only
+    once the census (linalg._dependent_counts) has found a dependent set.
     """
-    longest = max(max_size - 2, 0)
-    best = None
-    for prefix, dead, classes in independent_prefixes(P.data, longest, P.field):
-        if best is not None and prefix > best:
-            break
-        offers = []
-        if dead:
-            offers.append(((dead & -dead).bit_length() - 1,))
-        if len(prefix) + 2 == max_size:
-            for mask in classes.values():
-                low = mask & -mask
-                rest = (dead | mask) & -(low << 1)
-                if rest:
-                    offers.append(
-                        (low.bit_length() - 1, (rest & -rest).bit_length() - 1)
-                    )
-        if offers:
-            offer = prefix + min(offers)
-            if best is None or offer < best:
-                best = offer
-    return best
+    key, reduce = _reduction(P.field)
+    rows = [key(row) for row in P.data]
+
+    def first(prefix, basis):
+        for b in range(prefix[-1] + 1 if prefix else 0, len(rows)):
+            grown = basis.copy()
+            if _insert(grown, rows[b], reduce) is None:
+                return prefix + (b,)
+            if len(prefix) + 1 < max_size:
+                found = first(prefix + (b,), grown)
+                if found:
+                    return found
+        return None
+
+    return first((), []) if max_size > 0 else None
 
 
 def validate(P: GfMatrix, spec: CodeSpec) -> ValidationReport:
@@ -264,7 +263,11 @@ def validate(P: GfMatrix, spec: CodeSpec) -> ValidationReport:
         )
     )
 
-    dep = _first_dependent_subset(P, spec.w)
+    # every v <= w rows have rank v when the census of the rows to depth w
+    # counts no dependent set
+    dep = None
+    if any(_dependent_counts(P.data, spec.w, P.field)):
+        dep = _first_dependent_subset(P, spec.w)
     clauses.append(
         ClauseResult(
             "rank_condition",
@@ -332,17 +335,18 @@ def assign_coefficients(
         raise ConstructionError("; ".join(problems))
     rng = random.Random(seed)
     q = spec.field.order
-    last_dep: tuple[int, ...] | None = None
+    P = None
     for _ in range(max_attempts):
         data = [[0] * spec.r for _ in range(spec.k)]
         for i, cols in enumerate(support):
             for j in cols:
                 data[i][j] = rng.randrange(1, q)
         P = GfMatrix(data, spec.field)
-        dep = _first_dependent_subset(P, spec.w)
-        if dep is None:
+        if not any(_dependent_counts(data, spec.w, spec.field)):
             return BlrcCode(P, spec, seed=seed)
-        last_dep = tuple(i + 1 for i in dep)
+    last_dep = None
+    if P is not None:
+        last_dep = tuple(i + 1 for i in _first_dependent_subset(P, spec.w))
     raise ConstructionError(
         f"rank condition unsatisfied after {max_attempts} coefficient draws;"
         f" last dependent row subset: {last_dep}"
@@ -438,21 +442,19 @@ def gopalan_bound(n: int, k: int, l: int) -> int:
 def minimum_distance(code: SystematicCode) -> int:
     """Verified minimum distance: the smallest f for which some f blocks
     have dependent parity-check columns (an undecodable erasure pattern),
-    asking the quotient walk of _first_dependent_subset for f = 1, 2, ...
+    read off the census of those columns (linalg._dependent_counts).
 
-    For balanced LRCs the result is cross-checked against the locality
-    distance bound.
+    A data block and the parities of its row are dependent, and so are
+    any r + 1 columns, so the census runs to depth min(r, 1 + the lightest
+    row weight of P) and finds no dependent set only when the distance is
+    r + 1.  For balanced LRCs the result is cross-checked against the
+    locality distance bound.
     """
-    H = GfMatrix(
-        [code.parity_check_column(b) for b in range(1, code.n + 1)],
-        code.field,
-    )
-    # r+1 erasures are never decodable, so next() always finds a depth
-    d = next(
-        f
-        for f in range(1, code.r + 2)
-        if _first_dependent_subset(H, f) is not None
-    )
+    lightest = min(sum(1 for x in row if x) for row in code.P.data)
+    depth = min(code.r, 1 + lightest)
+    hcols = [code.parity_check_column(b) for b in range(1, code.n + 1)]
+    counts = _dependent_counts(hcols, depth, code.field)
+    d = next((f for f in range(1, depth + 1) if counts[f]), code.r + 1)
     return _check_distance(code, d)
 
 

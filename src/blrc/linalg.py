@@ -1,8 +1,8 @@
 """Dense matrices over GF(2^m): rank, solving, column-span membership, an
 echelon basis that grows one row at a time, a kernel that splits vectors
 into proportional classes modulo a span, and two walks in the quotient:
-over the independent subsets of a vector list, and over the flats of a
-direction list.
+one counting the dependent subsets of a vector list, and one over the
+flats of a direction list.
 
 Everything here is exact Gaussian elimination, and every row operation is
 one step, _reduction(field): v + a * d scaled to 1 at its first nonzero
@@ -19,15 +19,13 @@ _classes reduces many keys modulo a span in one call and groups the
 residuals by proportionality (the directions of the parity-check
 columns, and the classes outside each flat, keys that analysis holds).
 
-_independent_walk is the walk over the independent sets of a vector list,
+_dependent_counts is the walk over the independent sets of a vector list,
 in the quotient: each set carries the vectors it may grow by as
 proportional classes modulo its span, so growing it by one vector reduces
-every class by that one direction.  That one step, its quotient, is the
-only reduction loop of the walk, under both of its users:
-independent_prefixes, which yields the independent increasing position
-tuples in lexicographic order, for the first dependent subsets of the
-minimum distance and the rank condition, and the decodability census,
-which walks the sets class by class and counts each node's sets at once.
+every later class by that one direction, the walk's only reduction loop.
+It counts the dependent sets of every size up to a depth, class by class,
+and answers the decodability census, the minimum distance and the rank
+condition.
 
 _flats is the same walk over the directions of the parity-check
 columns, for the repair averages: a flat found from its first direction
@@ -42,7 +40,8 @@ at most one of them besides the classes the direction touches.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+import math
+from collections.abc import Sequence
 
 from .gf import FieldMismatchError, FieldSpec
 
@@ -68,27 +67,8 @@ class GfMatrix:
         self.data = [list(row) for row in data]
         self.field = field
 
-    @classmethod
-    def identity(cls, n: int, field: FieldSpec) -> "GfMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], field)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, field: FieldSpec) -> "GfMatrix":
-        return cls([[0] * cols for _ in range(rows)], field)
-
     def column(self, j: int) -> list[int]:
         return [row[j] for row in self.data]
-
-    def submatrix(self, row_idx: list[int], col_idx: list[int]) -> "GfMatrix":
-        return GfMatrix(
-            [[self.data[i][j] for j in col_idx] for i in row_idx], self.field
-        )
-
-    def transpose(self) -> "GfMatrix":
-        return GfMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.field,
-        )
 
     def mul_vec(self, x: list[int]) -> list[int]:
         """Matrix-vector product M @ x."""
@@ -227,94 +207,76 @@ def _classes(span, items, field: FieldSpec) -> dict:
     return classes
 
 
-def _independent_walk(vectors: Sequence[Sequence[int]], field: FieldSpec):
-    """(classes, quotient): the root of the walks over the independent
-    sets of vectors, in the quotient, and their one step.
+def _dependent_counts(
+    vectors: Sequence[Sequence[int]], depth: int, field: FieldSpec
+) -> list[int]:
+    """counts[f]: the dependent f-subsets of vectors for f = 0..depth, as
+    comb(len(vectors), f) less the independent ones, which a walk in the
+    quotient counts.
 
-    A node of a walk is an independent set's classes: the vectors it may
-    still grow by, split into proportional classes modulo its span, each
-    keyed by its residual scaled to 1 at its first nonzero entry, as a
-    key of _reduction(field), with the mask of its positions.  The root is
-    the empty set's, the classes of every nonzero vector.
-    quotient(items, own, above) takes (key, mask) items of a node and the
-    key own of one of its classes: it cuts each mask to above, drops own's
-    class and the emptied items, and splits the rest into the classes
-    modulo the span grown by own's direction, the node of the set grown
-    by a vector of own's class.  Modulo the old span the new one adds only
-    that direction, so reducing every other key by it alone gives them,
-    and a key that is zero at own's pivot stays as it is.
-    independent_prefixes grows a tuple by each later position b, cutting
-    to the positions past b; the decodability census grows a set by each
-    class, into the classes after it, and counts the sets of a node as
-    the product of the sizes of the classes taken.
+    A node is an independent set's classes: the vectors it may still grow
+    by, split into proportional classes modulo its span, each keyed by its
+    residual scaled to 1 at its first nonzero entry, as a key of
+    _reduction(field), with its size.  The root is the empty set's, the
+    classes of every nonzero vector.  The set grows by a vector of one
+    class into the classes after it: modulo the old span the new one adds
+    only that class's direction, so reducing every later key by it alone
+    gives them (the walk's one step, quotient), and a key that is zero at
+    its pivot stays as it is.  Every independent set is reached once, by
+    taking at each node the first class that holds one of its vectors, so
+    a node stands for as many sets as the product of the sizes of the
+    classes taken.  A node's classes count the next three sizes at once:
+    a vector from any class, two from two different classes, and three
+    from three classes when the last two stay in different classes modulo
+    the first one's direction, one step per class, taken only when that
+    size is asked for.  So the walk stops three vectors short of depth.
     """
     key, reduce = _reduction(field)
     pivots: dict = {}
 
-    def quotient(items, own, above: int) -> dict:
+    def quotient(items, own) -> list:
         pivot = pivots.get(own)
         if pivot is None:
             pivot = pivots[own] = _first_nonzero(own)
         out: dict = {}
-        for v, mask in items:
-            mask &= above
-            if not mask or v is own:  # own is the node's own key object
-                continue
+        for v, size in items:
             a = v[pivot]
             if a:  # v is not own's direction, so the residual is not zero
                 v = reduce(v, own, a)
-            out[v] = out.get(v, 0) | mask
-        return out
+            out[v] = out.get(v, 0) + size
+        return list(out.items())
 
-    items = [(reduce(key(v), key(v), 0), 1 << b) for b, v in enumerate(vectors)]
-    return _classes((), items, field), quotient
+    longest = max(depth - 3, 0)
+    independent = [0] * (longest + 4)
 
-
-def independent_prefixes(
-    vectors: Sequence[Sequence[int]], longest: int, field: FieldSpec
-) -> Iterator[tuple[tuple[int, ...], int, dict]]:
-    """Yield (prefix, dead, classes) for every independent increasing
-    tuple of at most longest positions of vectors, in lexicographic order
-    (a tuple before its extensions).
-
-    dead masks the later positions whose vectors lie in the prefix's span.
-    classes maps each proportional class of the other later vectors modulo
-    that span to its mask, keyed as _independent_walk keys them, so
-    callers read only the masks.  Adding position b of class C kills
-    (dead | C) past b.
-
-    The classes answer the next two lengths without field arithmetic:
-    prefix + (b,) is independent when b lies in a class, and
-    prefix + (b, c) when b < c lie in two different classes.
-    """
-    classes, quotient = _independent_walk(vectors, field)
-
-    def expand(prefix, dead, classes):
-        yield prefix, dead, classes
-        if len(prefix) == longest:
+    def walk(items, level, sets):
+        # items: the (key, size) classes of a node standing for sets
+        # independent level-sets; later counts the vectors after own's class
+        independent[level] += sets
+        if level < longest:
+            for i, (own, size) in enumerate(items):
+                walk(quotient(items[i + 1 :], own), level + 1, sets * size)
             return
-        items = classes.items()
-        live = 0
-        for mask in classes.values():
-            live |= mask
-        while live:
-            low = live & -live
-            live ^= low
-            for own, own_mask in items:
-                if own_mask & low:
-                    break
-            above = -(low << 1)
-            yield from expand(
-                prefix + (low.bit_length() - 1,),
-                (dead | own_mask) & above,
-                quotient(items, own, above),
-            )
+        later = total = sum([size for _, size in items])
+        pairs = triples = 0
+        for i, (own, size) in enumerate(items):
+            later -= size
+            pairs += size * later
+            if level + 3 <= depth and i + 2 < len(items):
+                squares = sum([s * s for _, s in quotient(items[i + 1 :], own)])
+                triples += size * (later * later - squares)
+        independent[level + 1] += sets * total
+        independent[level + 2] += sets * pairs
+        independent[level + 3] += sets * (triples // 2)
 
-    dead = 0
-    for b, v in enumerate(vectors):
-        if not any(v):
-            dead |= 1 << b
-    yield from expand((), dead, classes)
+    root: dict = {}
+    for v in vectors:
+        v = key(v)
+        if any(v):
+            v = reduce(v, v, 0)
+            root[v] = root.get(v, 0) + 1
+    walk(list(root.items()), 0, 1)
+    return [math.comb(len(vectors), f) - independent[f] for f in range(depth + 1)]
 
 
 def _flats(dirs, kappa: int, need: int, field: FieldSpec) -> list:
@@ -336,14 +298,14 @@ def _flats(dirs, kappa: int, need: int, field: FieldSpec) -> list:
     its flat's first one lacks the earlier directions.  Masks come in walk
     order: by first direction, then by the quotient's own order.
 
-    The walk is independent_prefixes' over directions, keyed the same
-    way: a class whose key is zero at the new direction's pivot is
-    already its residual and keeps its key, and the lines of the last
-    level are read off without recursing.  The kept keys are distinct
-    directions, so they never merge with each other: a class of the last
-    level joins at most one of them to keys nonzero at the pivot, and the
-    last level skips d when those keys' columns plus the largest kept key
-    cannot exceed need - |d|.
+    The walk is _dependent_counts' over directions, keyed the same way:
+    a class whose key is zero at the new direction's pivot is already its
+    residual and keeps its key, and the lines of the last level are read
+    off without recursing.  The kept keys are distinct directions, so they
+    never merge with each other: a class of the last level joins at most
+    one of them to keys nonzero at the pivot, and the last level skips d
+    when those keys' columns plus the largest kept key cannot exceed
+    need - |d|.
     """
     if kappa == 1:
         return [(cols, (d,)) for d, cols in dirs if cols.bit_count() > need]

@@ -1,12 +1,14 @@
 """Dependent subsets of parity-check columns and of parity-matrix rows:
-the decodability census, the minimum distance (from minimum_distance's
-own walk and from the census behind build_report) and the rank
-condition.
+the decodability census, the minimum distance (from minimum_distance and
+from build_report, both read off the census) and the rank condition (the
+census's verdict on the rows, and the first dependent subset that
+validate and assign_coefficients name).
 
 The pinned figures below were taken from the per-prefix elimination walk
 that preceded the quotient walk; every count, distance and message must
-stay exactly as it was.  The small-field codes check the walk against
-brute force where proportional and zero vectors are common.
+stay exactly as it was.  The small-field codes check the census, the
+rank condition at every row weight w and the first dependent subset
+against brute force where proportional and zero vectors are common.
 """
 
 import itertools
@@ -195,6 +197,15 @@ def _check_against_brute_force(code):
             assert _first_dependent_subset(M, max_size) == (
                 _first_dependent_by_brute_force(vectors, max_size, field)
             ), (vectors, max_size)
+    # the rank condition: the census's verdict, and the DFS's subset
+    for w in range(1, min(code.k - 1, code.r) + 1):
+        spec = CodeSpec(n, code.k, w, field)
+        clause = {c.name: c for c in validate(code.P, spec).clauses}["rank_condition"]
+        subset = _first_dependent_by_brute_force(code.P.data, w, field)
+        assert clause.passed == (subset is None), (code.P.data, w)
+        if subset is not None:
+            rows = tuple(i + 1 for i in subset)
+            assert clause.detail == f"rows {rows} are linearly dependent"
     distance = min_distance_by_patterns(code)
     assert minimum_distance(code) == distance
     if distance == 1:  # a zero column, whose single repair is undefined

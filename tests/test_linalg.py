@@ -34,9 +34,17 @@ def rand_matrix(rng, rows, cols, field=GF256):
     )
 
 
+def identity(n, field):
+    return GfMatrix([[int(i == j) for j in range(n)] for i in range(n)], field)
+
+
+def transpose(M):
+    return GfMatrix([M.column(j) for j in range(M.cols)], M.field)
+
+
 def test_rank_identity_and_zero():
-    assert rank(GfMatrix.identity(7, GF256)) == 7
-    assert rank(GfMatrix.zeros(4, 6, GF256)) == 0
+    assert rank(identity(7, GF256)) == 7
+    assert rank(GfMatrix([[0] * 6 for _ in range(4)], GF256)) == 0
 
 
 def test_rank_weight3_rows_with_distinct_supports():
@@ -56,7 +64,7 @@ def test_rank_equals_transpose_rank():
     rng = random.Random(3)
     for _ in range(25):
         M = rand_matrix(rng, rng.randrange(1, 7), rng.randrange(1, 7))
-        assert rank(M) == rank(M.transpose())
+        assert rank(M) == rank(transpose(M))
 
 
 def test_rank_invariant_under_row_swap_and_scaling():
@@ -73,7 +81,7 @@ def test_rank_invariant_under_row_swap_and_scaling():
 
 
 def test_solve_identity():
-    A = GfMatrix.identity(4, GF256)
+    A = identity(4, GF256)
     b = [9, 0, 255, 3]
     assert solve(A, b) == b
 
@@ -130,7 +138,7 @@ def test_insert_row_matches_rank_and_span(seed):
 
     # membership: a combination of the rows, or a random vector
     if rng.random() < 0.5:
-        target = M.transpose().mul_vec([rng.randrange(256) for _ in range(rows)])
+        target = M.vec_mul([rng.randrange(256) for _ in range(rows)])
     else:
         target = [rng.choice(values) for _ in range(cols)]
     inside = insert_row(list(basis), target, GF256) is None
@@ -280,14 +288,12 @@ def test_matrix_vec_products_match():
     rng = random.Random(29)
     M = rand_matrix(rng, 3, 5)
     x = [rng.randrange(256) for _ in range(5)]
-    assert M.mul_vec(x) == M.transpose().vec_mul(x)
+    assert M.mul_vec(x) == transpose(M).vec_mul(x)
 
 
-def test_submatrix_and_column():
+def test_column():
     M = GfMatrix([[1, 2, 3], [4, 5, 6]], GF256)
     assert M.column(1) == [2, 5]
-    S = M.submatrix([1], [0, 2])
-    assert S.data == [[4, 6]]
 
 
 @st.composite
@@ -330,9 +336,9 @@ def test_rank_solve_and_span_coefficients_match_oracle(case):
 def test_target_entry_outside_the_field_raises(call):
     field = FieldSpec(4, 0b10011)
     with pytest.raises(FieldMismatchError):
-        call(GfMatrix.identity(2, field), [20, 0])
+        call(identity(2, field), [20, 0])
     with pytest.raises(FieldMismatchError):
-        call(GfMatrix.identity(2, field), [0, -1])
+        call(identity(2, field), [0, -1])
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f"m{f.m}")
@@ -342,7 +348,7 @@ def test_rank_and_span_of_wide_matrices(field):
     data = [[0, 5] + [0] * (width - 2), [0, 0, 3] + [0] * (width - 4) + [7]]
     A = GfMatrix(data, field)
     assert rank(A) == 2
-    assert rank(A.transpose()) == 2
+    assert rank(transpose(A)) == 2
     for target in ([5, 3], [0, 1]):
         assert span_coefficients(A, target) == oracle_span_coefficients(
             data, target, field

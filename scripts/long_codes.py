@@ -1,6 +1,7 @@
-"""Time both repair averages, repair plans, the decodability census and
-the minimum distance on three long random codes, each measurement in a
-fresh process, and print its CPU time and the process's peak RSS.
+"""Time both repair averages, repair plans, the decodability census, the
+minimum distance and file decoding on three long random codes, each
+measurement in a fresh process, and print its CPU time and the process's
+peak RSS.
 
 The codes are random_support(spec, 1) with coefficient seed 1 for [28,20]
 w=3, [32,24] w=3 and [30,20] w=2: the shapes whose flat listings are the
@@ -10,7 +11,10 @@ triples drawn with random.Random(1); their value is the total cost of the
 decodable ones.  census is undecodable_counts to f = r, the depth of
 every report of these codes; its value is the number of undecodable
 r-sets.  distance is minimum_distance, the census of the parity-check
-columns to depth w + 1.
+columns to depth w + 1.  decode is decode_stream of a 1 MB payload drawn
+with random.Random(1), once for each of 5 sets of w data blocks lost
+(drawn with the same generator); its value is "ok" when every decode
+gave the payload back.
 
 Usage: python scripts/long_codes.py
 """
@@ -25,6 +29,7 @@ import time
 SHAPES = ((28, 20, 3), (32, 24, 3), (30, 20, 2))
 MEASURES = (
     "double", "single", "plan", "singles", "triples", "census", "distance",
+    "decode",
 )
 
 
@@ -44,6 +49,7 @@ def measure(shape, what):
         minimum_distance,
     )
     from blrc.search import random_support
+    from blrc.sharding import decode_stream, encode_stream
 
     spec = CodeSpec(*shape)
     code = assign_coefficients(random_support(spec, 1), spec, seed=1)
@@ -54,6 +60,16 @@ def measure(shape, what):
         "singles": [(b,) for b in blocks],
         "triples": random.Random(1).sample(triples, 12),
     }.get(what)
+    if what == "decode":
+        rng = random.Random(1)
+        payload = rng.randbytes(1_000_000)
+        shards = encode_stream(code, payload)
+        partials = []
+        for _ in range(5):
+            lost = rng.sample(range(1, code.k + 1), code.spec.w)
+            partials.append(
+                {b: shards[b - 1] for b in blocks if b not in lost}
+            )
     start = time.process_time()
     if what == "double":
         value = f"{avg_repair_bandwidth_double(code).mean_cost:.6f}"
@@ -63,6 +79,9 @@ def measure(shape, what):
         value = f"{undecodable_counts(code, code.r)[code.r]}"
     elif what == "distance":
         value = f"{minimum_distance(code)}"
+    elif what == "decode":
+        back = [decode_stream(code, p, len(payload)) for p in partials]
+        value = "ok" if all(b == payload for b in back) else "wrong"
     else:
         total = lost = 0
         for pattern in patterns:

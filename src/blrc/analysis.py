@@ -109,7 +109,7 @@ from .code import (
     UndecodableError,
     _check_distance,
     minimum_distance,  # noqa: F401  (a module global the benchmark trace wraps)
-    recovery_coefficients,
+    recovery_steps,
     update_complexity,
 )
 from .linalg import (
@@ -420,21 +420,19 @@ def minimal_repair(code: SystematicCode, erased) -> RepairPlan:
 def repair_values(
     code: SystematicCode, plan: RepairPlan, helper_values: dict[int, int]
 ) -> dict[int, int]:
-    """Recompute the erased block values from helper block values, using the
-    span certificate of the plan."""
+    """Recompute the erased block values from the helper block values the
+    plan names, by recovery_steps."""
     missing = [b for b in plan.helpers if b not in helper_values]
     if missing:
         raise ValueError(f"missing helper values for blocks {missing}")
     fld = code.field
-    coeff_lists = recovery_coefficients(code, plan.helpers, plan.erased)
-    out: dict[int, int] = {}
-    for e, coeffs in zip(plan.erased, coeff_lists):
+    values = {b: helper_values[b] for b in plan.helpers}
+    for e, terms in recovery_steps(code, plan.helpers, plan.erased):
         acc = 0
-        for c, b in zip(coeffs, plan.helpers):
-            if c:
-                acc ^= fld.mul(c, helper_values[b])
-        out[e] = acc
-    return out
+        for c, b in terms:
+            acc ^= fld.mul(c, values[b])
+        values[e] = acc
+    return {e: values[e] for e in plan.erased}
 
 
 def avg_repair_bandwidth_double(code: SystematicCode) -> DoubleRepairStats:

@@ -22,8 +22,15 @@ every assign_coefficients draw, and of the parity-check columns for
 minimum_distance.  Only a failed rank condition walks row positions, to
 name its lexicographically first dependent subset.
 
-Single-block repair touches l or l+1 blocks.  Blocks are 1-indexed: 1..k
-systematic, k+1..n parity.
+Single-block repair touches l or l+1 blocks: each row of the parity-check
+matrix H = [P^T | I_r] is a local group, a parity with the data blocks it
+covers.  recovery_steps is the one recovery path, for decoding and repair,
+of symbols and of shard streams alike: it peels each erased block it can
+from a row whose other blocks are available, and solves only the rest
+jointly, by recovery_coefficients (one elimination of the helpers'
+generator columns beside the erased blocks').
+
+Blocks are 1-indexed: 1..k systematic, k+1..n parity.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from .linalg import (
     _dependent_counts,
     _insert,
     _reduction,
-    span_coefficients,
+    _span_solutions,
 )
 
 SupportPattern = tuple[tuple[int, ...], ...]
@@ -355,13 +362,26 @@ def assign_coefficients(
 
 def decodable(code: SystematicCode, erased: tuple[int, ...]) -> bool:
     """True iff the pattern is recoverable: the erased parity-check columns
-    are linearly independent."""
+    are linearly independent.
+
+    The erased parities' columns are units, so they are independent and
+    span their rows: the pattern is recoverable exactly when the erased
+    data blocks' rows of P, cleared at those parities, are independent.
+    """
+    k, P = code.k, code.P.data
+    cleared = [b - k - 1 for b in erased if b > k]
+    if len(set(erased)) < len(erased) or any(j >= code.r for j in cleared):
+        return False  # a repeated block, or one past n (a zero column)
     key, reduce = _reduction(code.field)
     basis: Basis = []
-    return all(
-        _insert(basis, key(code.parity_check_column(b)), reduce) is not None
-        for b in erased
-    )
+    for b in erased:
+        if b <= k:
+            row = list(P[b - 1])
+            for j in cleared:
+                row[j] = 0
+            if _insert(basis, key(row), reduce) is None:
+                return False
+    return True
 
 
 def encode(code: SystematicCode, data: list[int]) -> list[int]:
@@ -381,19 +401,71 @@ def recovery_coefficients(
     """One coefficient list per erased block, aligned with helpers: the
     erased block is the XOR of coefficient * helper over the helpers.
 
-    Repair and decoding both ask this, decoding with every survivor as a
-    helper.  Raises UndecodableError(erased) when an erased generator
+    Each list is the reduced echelon solution, so unique; one elimination
+    of the helpers' generator columns beside every erased block's answers
+    them all.  Raises UndecodableError(erased) when an erased generator
     column lies outside the span of the helpers' columns.
     """
-    cols = [code.generator_column(b) for b in helpers]
-    M = GfMatrix([[c[i] for c in cols] for i in range(code.k)], code.field)
-    out = []
-    for e in erased:
-        coeffs = span_coefficients(M, code.generator_column(e))
-        if coeffs is None:
-            raise UndecodableError(erased)
-        out.append(coeffs)
-    return out
+    cols = [code.generator_column(b) for b in [*helpers, *erased]]
+    rows = [list(row) for row in zip(*cols)]
+    coeffs = _span_solutions(rows, len(helpers), len(erased), code.field)
+    if coeffs is None:
+        raise UndecodableError(erased)
+    return coeffs
+
+
+def recovery_steps(
+    code: SystematicCode, helpers: Sequence[int], erased: Sequence[int]
+) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The erased blocks in rebuild order, each with its (coefficient,
+    source) terms: the block is the XOR of coefficient * source over them,
+    a source being a helper or the block of an earlier step.
+
+    Blocks are peeled first, through the rows of the parity-check matrix
+    H = [P^T | I_r], each a local group.  While some erased block e lies
+    in a row whose other blocks are all available (the helpers and the
+    blocks rebuilt so far), the lightest such row rebuilds it, ties going
+    to the earlier block of erased and then to the earlier row: h_e * e is
+    the sum of h_b * b over the row's other blocks.  The blocks left are
+    solved jointly, once, by recovery_coefficients over the sorted
+    available blocks.  A parity whose column of P is zero is peeled with
+    no terms, as zeros.
+
+    Raises UndecodableError(erased) exactly when recovery_coefficients
+    does: a peeled block lies in the helpers' span, so the available
+    blocks span what the helpers span.
+    """
+    fld, k, P = code.field, code.k, code.P.data
+    groups = [  # row j of H as {block: h_b}
+        {**{i + 1: P[i][j] for i in range(k) if P[i][j]}, k + 1 + j: 1}
+        for j in range(code.r)
+    ]
+    available, left, steps = set(helpers), list(erased), []
+    while left:
+        ready = [
+            (len(group), pos, j)
+            for pos, e in enumerate(left)
+            for j, group in enumerate(groups)
+            if e in group and all(b in available for b in group if b != e)
+        ]
+        if not ready:
+            pool = sorted(available)
+            try:
+                coeffs = recovery_coefficients(code, pool, tuple(left))
+            except UndecodableError:
+                raise UndecodableError(tuple(erased)) from None
+            steps += [
+                (e, [(c, b) for c, b in zip(row, pool) if c])
+                for e, row in zip(left, coeffs)
+            ]
+            break
+        _, pos, j = min(ready)
+        e, group = left.pop(pos), groups[j]
+        steps.append(
+            (e, [(fld.div(h, group[e]), b) for b, h in group.items() if b != e])
+        )
+        available.add(e)
+    return steps
 
 
 def decode_erasure(
@@ -401,7 +473,8 @@ def decode_erasure(
     received: list[int | None],
     erased: tuple[int, ...],
 ) -> list[int]:
-    """Recover the full codeword from the surviving blocks.
+    """Recover the full codeword from the surviving blocks, rebuilding
+    the erased ones by recovery_steps.
 
     `received` has length n with None exactly at the 1-based positions in
     `erased`.  Raises UndecodableError when the surviving generator columns
@@ -420,14 +493,12 @@ def decode_erasure(
                 f" value {'missing' if v is None else 'present'}"
             )
     survivors = [b for b in range(1, code.n + 1) if b not in erased_set]
-    lost = tuple(sorted(erased_set))
     fld = code.field
     out = list(received)
-    for e, coeffs in zip(lost, recovery_coefficients(code, survivors, lost)):
+    for e, terms in recovery_steps(code, survivors, tuple(sorted(erased_set))):
         acc = 0
-        for c, b in zip(coeffs, survivors):
-            if c:
-                acc ^= fld.mul(c, received[b - 1])
+        for c, b in terms:
+            acc ^= fld.mul(c, out[b - 1])
         out[e - 1] = acc
     return out
 

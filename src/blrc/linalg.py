@@ -10,7 +10,8 @@ entry, on keys: bytes for m <= 8, reduced by two bytes.translate calls
 with FieldSpec's tables (file coding uses them too) and an XOR of wide
 integers, and tuples above, by log/antilog arithmetic.  insert_row grows
 an echelon Basis of keys, rank counts the rows it keeps, and
-span_coefficients back-substitutes the basis of [A | t].  Matrices in this
+span_coefficients back-substitutes the basis of [A | t], _span_solutions
+that of [A | t_1 ... t_f] for several targets at once.  Matrices in this
 package never exceed a few dozen rows, so no attention is paid to
 asymptotics.  Operations never mutate their inputs, except that
 insert_row appends to the basis it is given.
@@ -40,6 +41,7 @@ at most one of them besides the classes the direction touches.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 
@@ -138,8 +140,11 @@ def insert_row(basis: Basis, row: Sequence[int], field: FieldSpec) -> int | None
     return _insert(basis, key(row), reduce)
 
 
+@functools.cache
 def _byte_reduce(field: FieldSpec):
-    """reduce over bytes: translate d by a, XOR, translate by 1 / lead."""
+    """reduce over bytes: translate d by a, XOR, translate by 1 / lead.
+    Kept per field: equal fields share tables, and the step holds no
+    state of its own."""
     mul, div, from_bytes = field.mul_tables, field.div_tables, int.from_bytes
 
     def reduce(v: bytes, d: bytes, a: int) -> bytes:
@@ -399,18 +404,35 @@ def span_coefficients(columns: GfMatrix, target: list[int]) -> list[int] | None:
     """
     if len(target) != columns.rows:
         raise ValueError("dimension mismatch")
-    field, ncols = columns.field, columns.cols
-    field._check(*target)
+    columns.field._check(*target)
+    rows = [row + [t] for row, t in zip(columns.data, target)]
+    x = _span_solutions(rows, columns.cols, 1, columns.field)
+    return None if x is None else x[0]
+
+
+def _span_solutions(
+    rows, ncols: int, targets: int, field: FieldSpec
+) -> list[list[int]] | None:
+    """span_coefficients for several targets at once: rows are the rows
+    of [A | t_1 ... t_targets], A having ncols columns, and the result is
+    x_i with A @ x_i = t_i for each i, or None when any t_i lies outside
+    the column span of A.
+
+    One elimination serves every target.  When all of them lie in the
+    span, every pivot of [A | T] is a column of A, so the reduced echelon
+    form of [A | t_i] is that of [A | T] cut to A and t_i, and each x_i is
+    the one span_coefficients returns.
+    """
     key, reduce = _reduction(field)
     basis: Basis = []
-    for row, t in zip(columns.data, target):
-        _insert(basis, key(row + [t]), reduce)
-    if any(lead == ncols for lead, _ in basis):  # a row reads 0 = t != 0
+    for row in rows:
+        _insert(basis, key(row), reduce)
+    if any(lead >= ncols for lead, _ in basis):  # a row reads 0 = t_i != 0
         return None
     # back-substitute from the last row up: each row is zero at the
     # earlier pivots, and the later rows, already reduced, clear it at
     # theirs and leave its pivot at 1
-    x = [0] * ncols
+    xs = [[0] * ncols for _ in range(targets)]
     for i in range(len(basis) - 1, -1, -1):
         lead, v = basis[i]
         for pivot, d in basis[i + 1 :]:
@@ -418,5 +440,6 @@ def span_coefficients(columns: GfMatrix, target: list[int]) -> list[int] | None:
             if a:
                 v = reduce(v, d, a)
         basis[i] = lead, v
-        x[lead] = v[ncols]
-    return x
+        for t, x in enumerate(xs, ncols):
+            x[lead] = v[t]
+    return xs

@@ -10,6 +10,11 @@ field must be GF(2^8)); the input is zero-padded to a whole number of
 stripes and the original length travels in the shard header.  Per-shard
 streams are computed with the field's translate tables (FieldSpec.mul_tables)
 and wide integer XORs, which keeps the per-byte work in C.
+
+Decoding and repair rebuild streams in the order of code.recovery_steps,
+so a lost block whose local group survives costs one term per block of
+the group, and only the blocks left over are solved jointly.  Decoding
+rebuilds only the lost data blocks.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import RepairPlan
-from .code import SystematicCode, recovery_coefficients
+from .code import SystematicCode, UndecodableError, recovery_steps
 from .gf import FieldSpec
 
 SHARD_MAGIC = "blrc-shard v1"
@@ -73,7 +78,8 @@ def decode_stream(
     code: SystematicCode, shards: dict[int, bytes], data_length: int
 ) -> bytes:
     """Rebuild the original bytes from any decodable subset of shard
-    payloads (1-based block index -> payload)."""
+    payloads (1-based block index -> payload).  Only the missing data
+    blocks are rebuilt; UndecodableError names every missing block."""
     if not shards:
         raise ShardError("no shards supplied")
     lengths = {len(v) for v in shards.values()}
@@ -83,17 +89,22 @@ def decode_stream(
     k = code.k
     if data_length > stripes * k:
         raise ShardError("data length exceeds shard capacity")
-    present = sorted(shards)
     erased = tuple(b for b in range(1, code.n + 1) if b not in shards)
+    try:
+        steps = recovery_steps(code, sorted(shards), [b for b in erased if b <= k])
+    except UndecodableError:
+        # every block is a combination of the data blocks, so the missing
+        # set is undecodable exactly when its data blocks are
+        raise UndecodableError(erased) from None
     streams = dict(shards)
-    for b, coeffs in zip(erased, recovery_coefficients(code, present, erased)):
-        if b <= k:
-            parts = [(c, shards[h]) for c, h in zip(coeffs, present)]
-            streams[b] = _accumulate(parts, code.field, stripes)
+    for b, terms in steps:
+        parts = [(c, streams[s]) for c, s in terms]
+        streams[b] = _accumulate(parts, code.field, stripes)
     out = bytearray(stripes * k)
     for i in range(k):
         out[i::k] = streams[i + 1]
-    return bytes(out[:data_length])
+    del out[data_length:]
+    return bytes(out)
 
 
 def repair_stream(
@@ -102,7 +113,7 @@ def repair_stream(
     helper_payloads: dict[int, bytes],
 ) -> dict[int, bytes]:
     """Rebuild the payloads of the erased blocks from the helper payloads
-    named by the plan (and nothing else)."""
+    named by the plan (and nothing else), by recovery_steps."""
     missing = [b for b in plan.helpers if b not in helper_payloads]
     if missing:
         raise ShardError(f"missing helper payloads for blocks {missing}")
@@ -110,15 +121,11 @@ def repair_stream(
     if len(lengths) != 1:
         raise ShardError("helper payload lengths differ")
     stripes = lengths.pop()
-    coeff_lists = recovery_coefficients(code, plan.helpers, plan.erased)
-    return {
-        e: _accumulate(
-            [(c, helper_payloads[h]) for c, h in zip(coeffs, plan.helpers)],
-            code.field,
-            stripes,
-        )
-        for e, coeffs in zip(plan.erased, coeff_lists)
-    }
+    streams = {b: helper_payloads[b] for b in plan.helpers}
+    for e, terms in recovery_steps(code, plan.helpers, plan.erased):
+        parts = [(c, streams[s]) for c, s in terms]
+        streams[e] = _accumulate(parts, code.field, stripes)
+    return {e: streams[e] for e in plan.erased}
 
 
 def shard_path(directory: Path, stem: str, index: int) -> Path:

@@ -8,6 +8,7 @@ from blrc.code import (
     BlrcCode,
     CodeSpec,
     ConstructionError,
+    SystematicCode,
     UndecodableError,
     assign_coefficients,
     check_support,
@@ -16,6 +17,8 @@ from blrc.code import (
     encode,
     gopalan_bound,
     minimum_distance,
+    recovery_coefficients,
+    recovery_steps,
     support_of,
     update_complexity,
     validate,
@@ -199,6 +202,85 @@ def test_decode_input_validation(code_15_10):
     received[0] = None
     with pytest.raises(ValueError):
         decode_erasure(code_15_10, received, ())  # missing value not declared
+
+
+def test_recovery_steps_rebuild_every_pattern(bundled_recoveries):
+    # every decodable pattern of at most three blocks of the bundled codes,
+    # from the plan's helpers and from every survivor: each step reads
+    # helpers and earlier steps only, the steps take no more terms than
+    # the joint solution, and they rebuild the codeword
+    rng = random.Random(81)
+    for code, pattern, helper_sets in bundled_recoveries:
+        cw = encode(code, [rng.randrange(256) for _ in range(code.k)])
+        for helpers in helper_sets:
+            steps = recovery_steps(code, helpers, pattern)
+            assert sorted(e for e, _ in steps) == list(pattern)
+            known = {b: cw[b - 1] for b in helpers}
+            for e, terms in steps:
+                assert all(c and b in known for c, b in terms)
+                acc = 0
+                for c, b in terms:
+                    acc ^= GF256.mul(c, known[b])
+                known[e] = acc
+            assert {e: known[e] for e in pattern} == {e: cw[e - 1] for e in pattern}
+            joint = recovery_coefficients(code, helpers, pattern)
+            assert sum(len(terms) for _, terms in steps) <= sum(
+                1 for row in joint for c in row if c
+            )
+
+
+def test_single_erasure_is_rebuilt_from_its_local_group(
+    code_15_10, code_16_10_w3, code_16_10_w2
+):
+    # with one of its local groups (a row of H = [P^T | I_r]) surviving, a
+    # lost block is rebuilt from exactly that group's other l or l + 1
+    # blocks, the lightest group when several survive
+    for code in (code_15_10, code_16_10_w3, code_16_10_w2):
+        k, l = code.k, code.spec.l
+        groups = [
+            [i + 1 for i in range(k) if code.P.data[i][j]] + [k + 1 + j]
+            for j in range(code.r)
+        ]
+        for b in range(1, code.n + 1):
+            own = [g for g in groups if b in g]
+            for group in own:
+                others = [x for x in group if x != b]
+                assert len(others) in (l, l + 1)
+                [(e, terms)] = recovery_steps(code, others, (b,))
+                assert e == b and sorted(s for _, s in terms) == others
+            survivors = [x for x in range(1, code.n + 1) if x != b]
+            [(_, terms)] = recovery_steps(code, survivors, (b,))
+            assert len(terms) == min(len(g) for g in own) - 1
+
+
+def test_zero_column_parity_is_rebuilt_as_zero_from_nothing():
+    # parity 5 of this [5, 3] code covers no data block, so its row of H
+    # is its own unit and the block is always zero
+    code = SystematicCode(GfMatrix([[1, 0], [2, 0], [3, 0]], GF256))
+    assert recovery_steps(code, [1, 2, 3, 4], (5,)) == [(5, [])]
+    steps = recovery_steps(code, [2, 3, 4], (1, 5))
+    assert (5, []) in steps
+    cw = encode(code, [7, 8, 9])
+    assert cw[4] == 0
+    received = [None, 8, 9, cw[3], None]
+    assert decode_erasure(code, received, (1, 5)) == cw
+
+
+def test_recovery_steps_refuse_what_the_joint_solve_refuses(code_15_10):
+    # block 1 with the parities of its row is undecodable; a parity of
+    # another row is peeled first, and the error still names the whole
+    # pattern as given
+    cols = support_of(code_15_10.P)[0]
+    row = (1, *[11 + j for j in cols])
+    other = next(11 + j for j in range(5) if j not in cols)
+    for erased in (row + (other,), (other, *row)):
+        helpers = [b for b in range(1, 16) if b not in erased]
+        with pytest.raises(UndecodableError) as exc:
+            recovery_steps(code_15_10, helpers, erased)
+        assert exc.value.pattern == erased
+        with pytest.raises(UndecodableError) as exc:
+            recovery_coefficients(code_15_10, helpers, erased)
+        assert exc.value.pattern == erased
 
 
 def test_minimum_distance_bundled(code_15_10, code_16_10_w2):

@@ -3,9 +3,16 @@ import random
 
 import pytest
 
-from blrc.analysis import minimal_repair, repair_values
-from blrc.code import UndecodableError, decodable, decode_erasure, encode
-from blrc.gf import FieldSpec
+from blrc.analysis import RepairPlan, minimal_repair, repair_values
+from blrc.code import (
+    SystematicCode,
+    UndecodableError,
+    decodable,
+    decode_erasure,
+    encode,
+)
+from blrc.gf import GF256, FieldSpec
+from blrc.linalg import GfMatrix
 from blrc.sharding import (
     ShardError,
     ShardHeader,
@@ -85,6 +92,38 @@ def test_shards_agree_with_symbol_recovery(code_15_10):
             )
             assert values == {e: rebuilt[e][s] for e in pattern}
             assert values == {e: decoded[e - 1] for e in pattern}
+
+
+def test_streams_rebuilt_for_every_pattern_of_the_bundled_codes(bundled_recoveries):
+    # every decodable pattern of at most three blocks of each bundled code:
+    # repair_stream rebuilds the lost shards from the plan's helpers and
+    # from every survivor, and decode_stream restores the payload
+    payloads = {}
+    for code, pattern, helper_sets in bundled_recoveries:
+        if id(code) not in payloads:
+            data = random.Random(code.n + code.spec.w).randbytes(23 * code.k - 5)
+            payloads[id(code)] = data, encode_stream(code, data)
+        data, shards = payloads[id(code)]
+        lost = {e: shards[e - 1] for e in pattern}
+        for helpers in helper_sets:
+            plan = RepairPlan(pattern, helpers, len(helpers))
+            given = {b: shards[b - 1] for b in helpers}
+            assert repair_stream(code, plan, given) == lost
+        survivors = {b: shards[b - 1] for b in helper_sets[1]}
+        assert decode_stream(code, survivors, len(data)) == data
+
+
+def test_zero_column_parity_stream_is_rebuilt_as_zeros():
+    # parity 5 of this [5, 3] code covers no data block, so it is zeros
+    code = SystematicCode(GfMatrix([[1, 0], [2, 0], [3, 0]], GF256))
+    data = bytes(range(1, 31))
+    shards = encode_stream(code, data)
+    assert shards[4] == bytes(10)
+    plan = minimal_repair(code, (1, 5))
+    rebuilt = repair_stream(code, plan, {b: shards[b - 1] for b in plan.helpers})
+    assert rebuilt == {1: shards[0], 5: bytes(10)}
+    assert repair_values(code, plan, {b: 1 for b in plan.helpers})[5] == 0
+    assert decode_stream(code, {2: shards[1], 3: shards[2], 4: shards[3]}, 30) == data
 
 
 def test_symbol_recovery_round_trip_gf65536():

@@ -37,6 +37,6 @@ from .code import (
     validate,
 )
 from .gf import GF256, FieldMismatchError, FieldSpec
-from .linalg import GfMatrix, SingularMatrixError, rank, solve
+from .linalg import GfMatrix, rank
 
 __version__ = "0.1.0"

@@ -109,7 +109,8 @@ from .code import (
     UndecodableError,
     _check_distance,
     minimum_distance,  # noqa: F401  (a module global the benchmark trace wraps)
-    recovery_steps,
+    rebuild,
+    symbol_sum,
     update_complexity,
 )
 from .linalg import (
@@ -421,18 +422,12 @@ def repair_values(
     code: SystematicCode, plan: RepairPlan, helper_values: dict[int, int]
 ) -> dict[int, int]:
     """Recompute the erased block values from the helper block values the
-    plan names, by recovery_steps."""
+    plan names, by code.rebuild."""
     missing = [b for b in plan.helpers if b not in helper_values]
     if missing:
         raise ValueError(f"missing helper values for blocks {missing}")
-    fld = code.field
     values = {b: helper_values[b] for b in plan.helpers}
-    for e, terms in recovery_steps(code, plan.helpers, plan.erased):
-        acc = 0
-        for c, b in terms:
-            acc ^= fld.mul(c, values[b])
-        values[e] = acc
-    return {e: values[e] for e in plan.erased}
+    return rebuild(code, values, plan.erased, symbol_sum(code.field))
 
 
 def avg_repair_bandwidth_double(code: SystematicCode) -> DoubleRepairStats:

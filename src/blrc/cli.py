@@ -240,13 +240,10 @@ def cmd_repair(args) -> int:
         raise CliError(f"shard {args.index} is present; missing: {missing}")
     plan = minimal_repair(code, tuple(missing))
     # a plan reads no helper when every erased block's generator column is
-    # zero: those shards are zeros, with the stripes of any shard's header
+    # zero: those shards are zeros, with the stripes of any shard
     reads = plan.helpers or [min(files)]
     helpers, common = sharding.read_shard_set(files, reads, digest)
-    if plan.helpers:
-        repaired = sharding.repair_stream(code, plan, helpers)
-    else:
-        repaired = {e: bytes(common.stripes) for e in plan.erased}
+    repaired = sharding.repair_stream(code, plan, helpers)
     out_dir = Path(args.out_dir) if args.out_dir else directory
     out_dir.mkdir(parents=True, exist_ok=True)
     for idx, payload in repaired.items():

@@ -24,11 +24,14 @@ name its lexicographically first dependent subset.
 
 Single-block repair touches l or l+1 blocks: each row of the parity-check
 matrix H = [P^T | I_r] is a local group, a parity with the data blocks it
-covers.  recovery_steps is the one recovery path, for decoding and repair,
-of symbols and of shard streams alike: it peels each erased block it can
-from a row whose other blocks are available, and solves only the rest
-jointly, by recovery_coefficients (one elimination of the helpers'
-generator columns beside the erased blocks').
+covers.  rebuild is the one coding path, for encoding, decoding and
+repair, of symbols and of shard streams alike; only the combine step
+differs.  It fills in blocks in the order of recovery_steps, which peels
+each block it can from a row whose other blocks are available, and
+solves only the rest jointly, by recovery_coefficients (one elimination
+of the helpers' generator columns beside the erased blocks').  Encoding
+is the rebuild of the parities from the data blocks, each parity peeled
+from its own row.
 
 Blocks are 1-indexed: 1..k systematic, k+1..n parity.
 """
@@ -37,8 +40,9 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import TypeVar
 
 from .gf import GF256, FieldSpec
 from .linalg import (
@@ -49,6 +53,8 @@ from .linalg import (
     _reduction,
     _span_solutions,
 )
+
+V = TypeVar("V")
 
 SupportPattern = tuple[tuple[int, ...], ...]
 """Per-row sorted tuples of 0-based parity-column indices (the nonzero
@@ -131,9 +137,6 @@ class SystematicCode:
     @property
     def field(self) -> FieldSpec:
         return self.P.field
-
-    def support(self) -> SupportPattern:
-        return support_of(self.P)
 
     def generator_column(self, block: int) -> list[int]:
         """Column of G = [I_k | P] for a 1-based block index."""
@@ -385,14 +388,21 @@ def decodable(code: SystematicCode, erased: tuple[int, ...]) -> bool:
 
 
 def encode(code: SystematicCode, data: list[int]) -> list[int]:
-    """Systematic encoding: the codeword is data followed by data @ P."""
+    """Systematic encoding: the codeword is data followed by data @ P,
+    each parity rebuilt from its own row of H over the data blocks."""
     if len(data) != code.k:
         raise ValueError(f"data length {len(data)}, expected k={code.k}")
     fld = code.field
     for x in data:
         if not 0 <= x < fld.order:
             raise ValueError(f"data symbol {x!r} outside GF(2^{fld.m})")
-    return list(data) + code.P.vec_mul(data)
+    parities = rebuild(
+        code,
+        dict(enumerate(data, start=1)),
+        range(code.k + 1, code.n + 1),
+        symbol_sum(fld),
+    )
+    return list(data) + list(parities.values())
 
 
 def recovery_coefficients(
@@ -468,13 +478,45 @@ def recovery_steps(
     return steps
 
 
+def rebuild(
+    code: SystematicCode,
+    values: dict[int, V],
+    erased: Sequence[int],
+    combine: Callable[[list[tuple[int, V]]], V],
+) -> dict[int, V]:
+    """The values of the erased blocks, in the order of erased, rebuilt
+    from the available ones (block -> value) in the order of
+    recovery_steps.  Each is combine([(coefficient, value), ...]) over its
+    step's terms, the values of available or earlier rebuilt blocks, and
+    combine gets [] for a block rebuilt as zeros: the XOR of products of
+    symbols (symbol_sum) or of whole streams (sharding).  Raises
+    UndecodableError as recovery_steps does.
+    """
+    out = dict(values)
+    for e, terms in recovery_steps(code, list(values), erased):
+        out[e] = combine([(c, out[b]) for c, b in terms])
+    return {e: out[e] for e in erased}
+
+
+def symbol_sum(field: FieldSpec) -> Callable[[list[tuple[int, int]]], int]:
+    """rebuild's combine for symbols of field: the XOR of c * v."""
+
+    def combine(parts):
+        acc = 0
+        for c, v in parts:
+            acc ^= field.mul(c, v)
+        return acc
+
+    return combine
+
+
 def decode_erasure(
     code: SystematicCode,
     received: list[int | None],
     erased: tuple[int, ...],
 ) -> list[int]:
     """Recover the full codeword from the surviving blocks, rebuilding
-    the erased ones by recovery_steps.
+    the erased ones.
 
     `received` has length n with None exactly at the 1-based positions in
     `erased`.  Raises UndecodableError when the surviving generator columns
@@ -492,14 +534,11 @@ def decode_erasure(
                 f"received/erased mismatch at block {idx}:"
                 f" value {'missing' if v is None else 'present'}"
             )
-    survivors = [b for b in range(1, code.n + 1) if b not in erased_set]
-    fld = code.field
+    survivors = {b: v for b, v in enumerate(received, start=1) if v is not None}
     out = list(received)
-    for e, terms in recovery_steps(code, survivors, tuple(sorted(erased_set))):
-        acc = 0
-        for c, b in terms:
-            acc ^= fld.mul(c, out[b - 1])
-        out[e - 1] = acc
+    combine = symbol_sum(code.field)
+    for e, v in rebuild(code, survivors, sorted(erased_set), combine).items():
+        out[e - 1] = v
     return out
 
 

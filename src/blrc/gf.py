@@ -156,9 +156,6 @@ class FieldSpec:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def nonzero_elements(self) -> range:
-        return range(1, self.order)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FieldSpec)

@@ -1,4 +1,4 @@
-"""Dense matrices over GF(2^m): rank, solving, column-span membership, an
+"""Dense matrices over GF(2^m): rank, column-span coefficients, an
 echelon basis that grows one row at a time, a kernel that splits vectors
 into proportional classes modulo a span, and two walks in the quotient:
 one counting the dependent subsets of a vector list, and one over the
@@ -48,10 +48,6 @@ from collections.abc import Sequence
 from .gf import FieldMismatchError, FieldSpec
 
 
-class SingularMatrixError(ValueError):
-    """The system has no (unique) solution."""
-
-
 class GfMatrix:
     """Row-major dense matrix over a FieldSpec."""
 
@@ -71,34 +67,6 @@ class GfMatrix:
 
     def column(self, j: int) -> list[int]:
         return [row[j] for row in self.data]
-
-    def mul_vec(self, x: list[int]) -> list[int]:
-        """Matrix-vector product M @ x."""
-        if len(x) != self.cols:
-            raise ValueError("dimension mismatch")
-        f = self.field
-        out = []
-        for row in self.data:
-            acc = 0
-            for a, b in zip(row, x):
-                if a and b:
-                    acc ^= f.mul(a, b)
-            out.append(acc)
-        return out
-
-    def vec_mul(self, x: list[int]) -> list[int]:
-        """Row-vector product x @ M."""
-        if len(x) != self.rows:
-            raise ValueError("dimension mismatch")
-        f = self.field
-        out = [0] * self.cols
-        for xi, row in zip(x, self.data):
-            if xi == 0:
-                continue
-            for j, a in enumerate(row):
-                if a:
-                    out[j] ^= f.mul(xi, a)
-        return out
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -378,20 +346,6 @@ def rank(M: GfMatrix) -> int:
     for row in M.data:
         _insert(basis, key(row), reduce)
     return len(basis)
-
-
-def solve(A: GfMatrix, b: list[int]) -> list[int]:
-    """Solve A @ x = b for square or overdetermined A of full column rank.
-
-    Raises SingularMatrixError when the system is rank-deficient or
-    inconsistent.
-    """
-    x = span_coefficients(A, b)
-    if x is None:
-        raise SingularMatrixError("inconsistent system")
-    if rank(A) < A.cols:
-        raise SingularMatrixError("rank-deficient system")
-    return x
 
 
 def span_coefficients(columns: GfMatrix, target: list[int]) -> list[int] | None:

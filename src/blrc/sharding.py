@@ -11,10 +11,11 @@ stripes and the original length travels in the shard header.  Per-shard
 streams are computed with the field's translate tables (FieldSpec.mul_tables)
 and wide integer XORs, which keeps the per-byte work in C.
 
-Decoding and repair rebuild streams in the order of code.recovery_steps,
-so a lost block whose local group survives costs one term per block of
-the group, and only the blocks left over are solved jointly.  Decoding
-rebuilds only the lost data blocks.
+Encoding, decoding and repair are code.rebuild over streams: encoding
+rebuilds the parities from the data streams, decoding only the lost data
+blocks, and repair the erased blocks of a plan from its helpers.  A lost
+block whose local group survives costs one term per block of the group,
+and only the blocks left over are solved jointly.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import RepairPlan
-from .code import SystematicCode, UndecodableError, recovery_steps
+from .code import SystematicCode, UndecodableError, rebuild
 from .gf import FieldSpec
 
 SHARD_MAGIC = "blrc-shard v1"
@@ -57,21 +58,21 @@ def _accumulate(parts: list[tuple[int, bytes]], field: FieldSpec, length: int) -
     return acc.to_bytes(length, "big")
 
 
+def _stream_sum(field: FieldSpec, length: int):
+    """code.rebuild's combine for streams of the given length."""
+    return lambda parts: _accumulate(parts, field, length)
+
+
 def encode_stream(code: SystematicCode, data: bytes) -> list[bytes]:
-    """Split data into k interleaved streams and derive the r parity
-    streams; returns n payloads of equal length."""
+    """Split data into k interleaved streams and rebuild the r parity
+    streams from them; returns n payloads of equal length."""
     k = code.k
     stripes = (len(data) + k - 1) // k
     padded = data.ljust(stripes * k, b"\0")
-    shards = [padded[i::k] for i in range(k)]
-    for j in range(code.r):
-        parts = [
-            (code.P.data[i][j], shards[i])
-            for i in range(k)
-            if code.P.data[i][j]
-        ]
-        shards.append(_accumulate(parts, code.field, stripes))
-    return shards
+    streams = {i + 1: padded[i::k] for i in range(k)}
+    combine = _stream_sum(code.field, stripes)
+    parities = rebuild(code, streams, range(k + 1, code.n + 1), combine)
+    return [*streams.values(), *parities.values()]
 
 
 def decode_stream(
@@ -90,16 +91,14 @@ def decode_stream(
     if data_length > stripes * k:
         raise ShardError("data length exceeds shard capacity")
     erased = tuple(b for b in range(1, code.n + 1) if b not in shards)
+    lost = [b for b in erased if b <= k]
     try:
-        steps = recovery_steps(code, sorted(shards), [b for b in erased if b <= k])
+        rebuilt = rebuild(code, shards, lost, _stream_sum(code.field, stripes))
     except UndecodableError:
         # every block is a combination of the data blocks, so the missing
         # set is undecodable exactly when its data blocks are
         raise UndecodableError(erased) from None
-    streams = dict(shards)
-    for b, terms in steps:
-        parts = [(c, streams[s]) for c, s in terms]
-        streams[b] = _accumulate(parts, code.field, stripes)
+    streams = shards | rebuilt
     out = bytearray(stripes * k)
     for i in range(k):
         out[i::k] = streams[i + 1]
@@ -113,19 +112,20 @@ def repair_stream(
     helper_payloads: dict[int, bytes],
 ) -> dict[int, bytes]:
     """Rebuild the payloads of the erased blocks from the helper payloads
-    named by the plan (and nothing else), by recovery_steps."""
+    named by the plan (and nothing else).  The stripe count is read off
+    every payload given, so a plan that reads no helper, one whose erased
+    blocks are all zeros, still needs one payload."""
     missing = [b for b in plan.helpers if b not in helper_payloads]
     if missing:
         raise ShardError(f"missing helper payloads for blocks {missing}")
-    lengths = {len(helper_payloads[b]) for b in plan.helpers}
+    lengths = {len(v) for v in helper_payloads.values()}
     if len(lengths) != 1:
-        raise ShardError("helper payload lengths differ")
-    stripes = lengths.pop()
-    streams = {b: helper_payloads[b] for b in plan.helpers}
-    for e, terms in recovery_steps(code, plan.helpers, plan.erased):
-        parts = [(c, streams[s]) for c, s in terms]
-        streams[e] = _accumulate(parts, code.field, stripes)
-    return {e: streams[e] for e in plan.erased}
+        raise ShardError(
+            "helper payload lengths differ" if lengths else "no payloads supplied"
+        )
+    helpers = {b: helper_payloads[b] for b in plan.helpers}
+    combine = _stream_sum(code.field, lengths.pop())
+    return rebuild(code, helpers, plan.erased, combine)
 
 
 def shard_path(directory: Path, stem: str, index: int) -> Path:

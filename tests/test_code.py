@@ -26,7 +26,7 @@ from blrc.code import (
 from blrc.gf import GF256, FieldSpec
 from blrc.linalg import GfMatrix
 from blrc.presets import SUPPORT_15_10_W3, SUPPORT_16_10_W2
-from util_oracles import min_distance_by_patterns
+from util_oracles import min_distance_by_patterns, oracle_product, random_valid_code
 
 
 def test_spec_derivations():
@@ -130,6 +130,26 @@ def test_encode_zero_and_units(code_15_10):
         cw = encode(code, data)
         assert cw[:10] == data
         assert cw[10:] == list(code.P.data[i])
+
+
+@pytest.mark.parametrize(
+    "field",
+    (FieldSpec(4, 0b10011), GF256, FieldSpec(16, 0x1002D)),
+    ids=lambda f: f"m{f.m}",
+)
+def test_encode_matches_an_independent_product(field):
+    # the parities are data @ P by the oracle's arithmetic, for random
+    # codes and a [5, 3] code whose parity 5 covers no data block
+    rng = random.Random(field.m)
+    shapes = ((8, 5, 2), (15, 10, 3))
+    codes = [random_valid_code(rng, *shape, field) for shape in shapes]
+    codes.append(SystematicCode(GfMatrix([[1, 0], [2, 0], [3, 0]], field)))
+    for code in codes:
+        columns = list(zip(*code.P.data))
+        for _ in range(5):
+            data = [rng.randrange(field.order) for _ in range(code.k)]
+            assert encode(code, data) == data + oracle_product(columns, data, field)
+    assert encode(code, [5, 6, 7])[4] == 0
 
 
 @given(seed=st.integers(min_value=0, max_value=10**6), scale=st.integers(1, 255))
@@ -301,8 +321,6 @@ def test_update_complexity(code_15_10, code_16_10_w3, code_16_10_w2):
 
 def test_distance_is_row_weight_plus_one_small_random():
     rng = random.Random(4242)
-    from util_oracles import random_valid_code
-
     checked = 0
     while checked < 8:
         n = rng.randrange(8, 13)

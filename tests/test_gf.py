@@ -35,7 +35,7 @@ def test_inv_examples():
 
 def test_inverses_exhaustive_and_unique():
     seen = set()
-    for a in GF256.nonzero_elements():
+    for a in range(1, 256):
         inv = GF256.inv(a)
         assert GF256.mul(a, inv) == 1
         seen.add(inv)

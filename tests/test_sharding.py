@@ -5,14 +5,17 @@ import pytest
 
 from blrc.analysis import RepairPlan, minimal_repair, repair_values
 from blrc.code import (
+    CodeSpec,
     SystematicCode,
     UndecodableError,
+    assign_coefficients,
     decodable,
     decode_erasure,
     encode,
 )
 from blrc.gf import GF256, FieldSpec
 from blrc.linalg import GfMatrix
+from blrc.search import random_support
 from blrc.sharding import (
     ShardError,
     ShardHeader,
@@ -24,6 +27,9 @@ from blrc.sharding import (
     shard_sets,
     write_shard,
 )
+from util_oracles import oracle_product, random_valid_code
+
+SHAPES = ((8, 5, 2), (12, 8, 3), (16, 10, 2))
 
 
 def test_encode_decode_round_trip_full(code_15_10):
@@ -48,13 +54,24 @@ def test_padding_and_exact_length(code_15_10):
 
 
 def test_shards_agree_with_symbol_encoding(code_15_10):
+    # stripe by stripe, the shards are data @ P by the oracle's arithmetic,
+    # and the symbol codeword: for the bundled code, random codes, and a
+    # [5, 3] code whose parity 5 covers no data block, so is all zeros
     rng = random.Random(1)
-    data = bytes(rng.randrange(256) for _ in range(30))
-    shards = encode_stream(code_15_10, data)
-    for stripe in range(3):
-        symbols = list(data[stripe * 10 : (stripe + 1) * 10])
-        cw = encode(code_15_10, symbols)
-        assert [shards[b][stripe] for b in range(15)] == cw
+    codes = [code_15_10, *(random_valid_code(rng, *shape, GF256) for shape in SHAPES)]
+    codes.append(SystematicCode(GfMatrix([[1, 0], [2, 0], [3, 0]], GF256)))
+    stripes = 3
+    for code in codes:
+        k = code.k
+        data = bytes(rng.randrange(256) for _ in range(stripes * k - 1))
+        shards = encode_stream(code, data)
+        padded, columns = data + b"\0", list(zip(*code.P.data))
+        for stripe in range(stripes):
+            symbols = list(padded[stripe * k : (stripe + 1) * k])
+            cw = symbols + oracle_product(columns, symbols, GF256)
+            assert [shards[b][stripe] for b in range(code.n)] == cw
+            assert encode(code, symbols) == cw
+    assert shards[4] == bytes(stripes)
 
 
 def test_shards_agree_with_symbol_recovery(code_15_10):
@@ -126,6 +143,19 @@ def test_zero_column_parity_stream_is_rebuilt_as_zeros():
     assert decode_stream(code, {2: shards[1], 3: shards[2], 4: shards[3]}, 30) == data
 
 
+def test_repair_of_a_plan_with_no_helper_takes_the_length_of_any_payload():
+    # parity 5 of this [7, 2] w=1 code covers no data block, so its plan
+    # reads no helper, and the payload given only sets the stripe count
+    spec = CodeSpec(7, 2, 1)
+    code = assign_coefficients(random_support(spec, 1), spec, seed=1)
+    plan = minimal_repair(code, (5,))
+    assert plan.helpers == ()
+    shards = encode_stream(code, bytes(range(1, 24)))
+    assert repair_stream(code, plan, {1: shards[0]}) == {5: bytes(12)}
+    with pytest.raises(ShardError):
+        repair_stream(code, plan, {})
+
+
 def test_symbol_recovery_round_trip_gf65536():
     # the symbol paths take any field; the stream paths only GF(2^8)
     from blrc.presets import blrc_15_10_w3
@@ -194,9 +224,6 @@ def test_repair_stream_requires_all_helpers(code_15_10):
 
 
 def test_non_byte_field_rejected():
-    from blrc.code import CodeSpec, assign_coefficients
-    from blrc.search import random_support
-
     field = FieldSpec(4, 0b10011)
     spec = CodeSpec(8, 5, 2, field)
     code = assign_coefficients(random_support(spec, seed=1), spec, seed=1)

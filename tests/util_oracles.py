@@ -2,12 +2,12 @@
 
 Everything here deliberately avoids the library's optimized paths and
 shares no arithmetic with it: field multiplication is bit-by-bit
-carry-less reduction, elimination is a plain Gaussian elimination loop
-on those products, decodability is the rank of surviving generator
-columns, span membership is a rank comparison, and minimal repair
-enumerates every subset of the survivors in size order, or certifies a
-claimed plan by the ranks of the subsets that would beat it.  Matrices
-are lists of rows.
+carry-less reduction, a matrix-vector product sums those products,
+elimination is a plain Gaussian elimination loop on them, decodability
+is the rank of surviving generator columns, span membership is a rank
+comparison, and minimal repair enumerates every subset of the survivors
+in size order, or certifies a claimed plan by the ranks of the subsets
+that would beat it.  Matrices are lists of rows.
 """
 
 from __future__ import annotations
@@ -112,6 +112,18 @@ def row_reduce(rows, field, reduced: bool = True):
                 rows[i] = [x ^ times[y] for x, y in zip(row, prow)]
         pivots.append(c)
     return rows, pivots
+
+
+def oracle_product(rows, x, field) -> list[int]:
+    """rows @ x: for each row, the XOR of its entries times those of x."""
+    products = _arithmetic(field.m, field.poly).products
+    out = []
+    for row in rows:
+        acc = 0
+        for a, b in zip(row, x):
+            acc ^= products(a)[b]
+        out.append(acc)
+    return out
 
 
 def oracle_rank(rows, field) -> int:

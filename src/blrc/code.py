@@ -484,12 +484,13 @@ def rebuild(
     erased: Sequence[int],
     combine: Callable[[list[tuple[int, V]]], V],
 ) -> dict[int, V]:
-    """The values of the erased blocks, in the order of erased, rebuilt
-    from the available ones (block -> value) in the order of
-    recovery_steps.  Each is combine([(coefficient, value), ...]) over its
-    step's terms, the values of available or earlier rebuilt blocks, and
-    combine gets [] for a block rebuilt as zeros: the XOR of products of
-    symbols (symbol_sum) or of whole streams (sharding).  Raises
+    """The erased blocks' values, in the order of erased, rebuilt from
+    values (available block -> value) in the order of recovery_steps.
+
+    Each is combine([(coefficient, value), ...]) over its step's terms,
+    whose values are those of available or earlier rebuilt blocks; a
+    block rebuilt as zeros gets combine([]).  combine is the XOR of the
+    products: symbol_sum for symbols, sharding's for streams.  Raises
     UndecodableError as recovery_steps does.
     """
     out = dict(values)
@@ -534,12 +535,9 @@ def decode_erasure(
                 f"received/erased mismatch at block {idx}:"
                 f" value {'missing' if v is None else 'present'}"
             )
-    survivors = {b: v for b, v in enumerate(received, start=1) if v is not None}
-    out = list(received)
-    combine = symbol_sum(code.field)
-    for e, v in rebuild(code, survivors, sorted(erased_set), combine).items():
-        out[e - 1] = v
-    return out
+    values = {b: v for b, v in enumerate(received, start=1) if v is not None}
+    values |= rebuild(code, values, sorted(erased_set), symbol_sum(code.field))
+    return [values[b] for b in range(1, code.n + 1)]
 
 
 def gopalan_bound(n: int, k: int, l: int) -> int:

@@ -40,14 +40,10 @@ def measure(shape, what):
         avg_repair_bandwidth_double,
         avg_repair_bandwidth_single,
         minimal_repair,
+        minimum_distance,
         undecodable_counts,
     )
-    from blrc.code import (
-        CodeSpec,
-        UndecodableError,
-        assign_coefficients,
-        minimum_distance,
-    )
+    from blrc.code import CodeSpec, UndecodableError, assign_coefficients
     from blrc.search import random_support
     from blrc.sharding import decode_stream, encode_stream
 

@@ -15,6 +15,7 @@ from .analysis import (
     build_report,
     decodability_profile,
     minimal_repair,
+    minimum_distance,
     repair_values,
 )
 from .code import (
@@ -31,7 +32,6 @@ from .code import (
     decode_erasure,
     encode,
     gopalan_bound,
-    minimum_distance,
     support_of,
     update_complexity,
     validate,

@@ -1,4 +1,4 @@
-"""Repair-bandwidth and decodability metrics.
+"""Repair-bandwidth, decodability and distance metrics.
 
 Repair plans, and both repair averages that rank codes, are computed in
 the dual: from the columns of the parity-check matrix H = [P^T | I_r].
@@ -86,9 +86,11 @@ node is an independent set's classes, the columns it may grow by split
 into proportional classes modulo its span, and it stands for as many sets
 as the product of the sizes of the classes taken.  A node's classes count
 the next three sizes at once, so the walk stops three columns short of
-the largest size counted.  build_report reads the minimum distance off
-this census; minimum_distance and the rank condition run the same census,
-on the parity-check columns and on the rows of P.
+the largest size counted.  build_report and minimum_distance read the
+minimum distance off this census, through one reader that also checks it
+against the locality bound of Gopalan et al. for a balanced LRC; the
+rank condition (code._dependent_rows) runs the same census on the rows
+of P.
 
 The test suite checks every plan kind against an independent all-subsets
 oracle, and both averages against the plans for every single and pair.
@@ -107,8 +109,8 @@ from .code import (
     BlrcCode,
     SystematicCode,
     UndecodableError,
-    _check_distance,
-    minimum_distance,  # noqa: F401  (a module global the benchmark trace wraps)
+    effective_locality,
+    gopalan_bound,
     rebuild,
     symbol_sum,
     update_complexity,
@@ -458,6 +460,42 @@ def undecodable_counts(code: SystematicCode, f_max: int) -> dict[int, int]:
     }
 
 
+def minimum_distance(code: SystematicCode) -> int:
+    """Verified minimum distance: the smallest f for which some f blocks
+    have dependent parity-check columns (an undecodable erasure pattern),
+    read off the decodability profile as build_report reads it.
+
+    A data block and the parities of its row are dependent, and so are
+    any r + 1 columns, so the profile runs to depth min(r, 1 + the
+    lightest row weight of P) and finds no undecodable pattern only when
+    the distance is r + 1.
+    """
+    lightest = min(sum(1 for x in row if x) for row in code.P.data)
+    return _distance(code, decodability_profile(code, min(code.r, 1 + lightest)))
+
+
+def _distance(code: SystematicCode, profile: dict[int, float]) -> int:
+    """The minimum distance read off a decodability profile that runs to
+    r or to an undecodable size: the least f with p_f < 1.0, else r + 1,
+    checked against the locality distance bound when code is a balanced
+    LRC.
+
+    p_f = 1 - u / C with integers 0 <= u <= C = comb(n, f) is below 1.0
+    exactly when u >= 1: u / C is then at least 1 / C > 2^-53 for every
+    C < 2^53, which holds for any census that can finish, and 1.0 less
+    anything from 2^-53 up rounds to at most 1 - 2^-53.  Every f past r
+    has p_f = 0.0, so a longer profile reads the same.
+    """
+    d = min((f for f, p in profile.items() if p < 1.0), default=code.r + 1)
+    if isinstance(code, BlrcCode):
+        bound = gopalan_bound(code.n, code.k, effective_locality(code.spec))
+        if d > bound:
+            raise AssertionError(
+                f"measured distance {d} exceeds locality bound {bound}"
+            )
+    return d
+
+
 def decodability_profile(code: SystematicCode, f_max: int) -> dict[int, float]:
     """p_f = fraction of f-block erasure patterns that are decodable, by
     exhaustive enumeration, for f = 1..f_max."""
@@ -473,20 +511,13 @@ def build_report(code: SystematicCode) -> MetricsReport:
     """Aggregate every metric for a code: storage overhead, repair
     bandwidths, update complexity, decodability profile, distance.
 
-    The profile runs to depth w+3, extended through r so the report can
-    always seed a reliability chain, and the distance is read off it: the
-    least f <= r with an undecodable f-set, else r + 1, as
-    minimum_distance finds it.  p_f = 1 - u / C with integers
-    0 <= u <= C = comb(n, f) is below 1.0 exactly when u >= 1: u / C is
-    then at least 1 / C > 2^-53 for every C < 2^53, which holds for any
-    census that can finish, and 1.0 less anything from 2^-53 up rounds
-    to at most 1 - 2^-53.
+    The profile runs to depth w+3, w the heaviest row weight of P (spec.w
+    for a valid balanced LRC), extended through r so the report can
+    always seed a reliability chain, and the distance is read off it as
+    minimum_distance reads it.
     """
     k, r, n = code.k, code.r, code.n
-    if isinstance(code, BlrcCode):
-        w = code.spec.w
-    else:
-        w = max(sum(1 for x in row if x) for row in code.P.data)
+    w = max(sum(1 for x in row if x) for row in code.P.data)
     f_max = min(n, max(w + 3, r))
     nonzeros = sum(1 for row in code.P.data for x in row if x)
     double = avg_repair_bandwidth_double(code)
@@ -498,9 +529,7 @@ def build_report(code: SystematicCode) -> MetricsReport:
         avg_column_weight=nonzeros / r,
         update_complexity=update_complexity(code),
         decodability=profile,
-        min_distance=_check_distance(
-            code, next((f for f in range(1, r + 1) if profile[f] < 1.0), r + 1)
-        ),
+        min_distance=_distance(code, profile),
         double_undecodable_pairs=double.undecodable_pairs,
     )
     _check_profile(report.decodability)

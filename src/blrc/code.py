@@ -8,19 +8,23 @@ balanced locally repairable when
     exactly w*k - r*l columns of weight l+1,
   * every submatrix formed from v <= w rows of P has rank v.
 
-The row weight bounds the minimum distance by w+1: a data block and the w
-parities of its row form an undecodable pattern.  The rank condition makes
-every erasure of up to w data blocks decodable, but it says nothing of
-patterns that mix data and parity blocks.  So a code that passes validate,
-such as an unscreened assign_coefficients draw, can have distance below
-w+1 and fewer decodable patterns than its support allows;
-minimum_distance and the decodability profile report the true values.
+Each clause is stated once: the support clauses by _support_clauses,
+which validate reports and check_support lists, and the rank condition by
+_dependent_rows.  The row weight bounds the minimum distance by w+1: a
+data block and the w parities of its row form an undecodable pattern.
+The rank condition makes every erasure of up to w data blocks decodable,
+but it says nothing of patterns that mix data and parity blocks.  So a
+code that passes validate, such as an unscreened assign_coefficients
+draw, can have distance below w+1 and fewer decodable patterns than its
+support allows; analysis.minimum_distance and the decodability profile
+report the true values.
 
-One census of dependent sets, linalg._dependent_counts, answers both:
-of the rows of P to depth w for the rank condition of validate and of
-every assign_coefficients draw, and of the parity-check columns for
-minimum_distance.  Only a failed rank condition walks row positions, to
-name its lexicographically first dependent subset.
+The rank condition is the census of dependent sets of the rows of P to
+depth w, linalg._dependent_counts, the census that analysis runs on the
+parity-check columns.  Only a failed rank condition walks row positions,
+to name its lexicographically first dependent subset;
+assign_coefficients runs the census alone on every draw, and names the
+subset once, after its last draw.
 
 Single-block repair touches l or l+1 blocks: each row of the parity-check
 matrix H = [P^T | I_r] is a local group, a parity with the data blocks it
@@ -111,10 +115,6 @@ class CodeSpec:
         """Number of parity columns that must have weight l+1."""
         return self.w * self.k - self.r * self.l
 
-    @property
-    def avg_column_weight(self) -> float:
-        return self.w * self.k / self.r
-
 
 @dataclass(frozen=True)
 class SystematicCode:
@@ -203,19 +203,59 @@ def support_of(P: GfMatrix) -> SupportPattern:
     )
 
 
-def _first_dependent_subset(
-    P: GfMatrix, max_size: int
-) -> tuple[int, ...] | None:
-    """The lexicographically first subset of at most max_size rows of P
-    whose rows are dependent, or None.
+def _support_clauses(support: SupportPattern, spec: CodeSpec) -> list[ClauseResult]:
+    """The definition's clauses on a support with spec.k rows: row_weights
+    (every row marks exactly w distinct columns of range(r)), column_weights
+    (every column has l or l + 1 marks) and column_census (exactly
+    heavy_columns columns have l + 1)."""
+    bad_rows = [
+        i + 1
+        for i, cols in enumerate(support)
+        if len(set(cols)) != spec.w or any(not 0 <= j < spec.r for j in cols)
+    ]
+    weights = [0] * spec.r
+    for cols in support:
+        for j in cols:
+            if 0 <= j < spec.r:
+                weights[j] += 1
+    bad_cols = [j + 1 for j, cw in enumerate(weights) if cw not in (spec.l, spec.l + 1)]
+    heavy = weights.count(spec.l + 1)
+    return [
+        ClauseResult(
+            "row_weights",
+            not bad_rows,
+            "" if not bad_rows else f"rows with weight != {spec.w}: {bad_rows}",
+        ),
+        ClauseResult(
+            "column_weights",
+            not bad_cols,
+            ""
+            if not bad_cols
+            else f"columns outside {{{spec.l}, {spec.l + 1}}}: {bad_cols}",
+        ),
+        ClauseResult(
+            "column_census",
+            not bad_cols and heavy == spec.heavy_columns,
+            f"{heavy} columns of weight {spec.l + 1}, expected {spec.heavy_columns}",
+        ),
+    ]
 
-    Every proper prefix of that subset is independent, and a prefix comes
-    before its extensions, so a depth-first walk over the independent
-    increasing tuples, each growing a copy of its prefix's Basis by one
-    row, returns the first tuple whose last row lies in its prefix's span.
-    It visits every independent tuple before that one, so it runs only
-    once the census (linalg._dependent_counts) has found a dependent set.
+
+def _dependent_rows(P: GfMatrix, max_size: int) -> tuple[int, ...] | None:
+    """The 1-based rows of the lexicographically first subset of at most
+    max_size rows of P whose rows are dependent, or None: the rank
+    condition fails exactly when this is not None for max_size = w.
+
+    The census of the rows to depth max_size (linalg._dependent_counts)
+    gives the verdict.  Only when it counts a dependent set does a
+    depth-first walk name one: every proper prefix of the first dependent
+    subset is independent, and a prefix comes before its extensions, so
+    the walk over the independent increasing tuples, each growing a copy
+    of its prefix's Basis by one row, returns the first tuple whose last
+    row lies in its prefix's span.
     """
+    if not any(_dependent_counts(P.data, max_size, P.field)):
+        return None
     key, reduce = _reduction(P.field)
     rows = [key(row) for row in P.data]
 
@@ -230,7 +270,7 @@ def _first_dependent_subset(
                     return found
         return None
 
-    return first((), []) if max_size > 0 else None
+    return tuple(i + 1 for i in first((), []))
 
 
 def validate(P: GfMatrix, spec: CodeSpec) -> ValidationReport:
@@ -244,88 +284,27 @@ def validate(P: GfMatrix, spec: CodeSpec) -> ValidationReport:
         )
     if P.field != spec.field:
         raise ValueError("parity matrix field differs from spec field")
-
-    clauses = []
-
-    bad_rows, bad_cols, heavy = _census(support_of(P), spec)
-    clauses.append(
-        ClauseResult(
-            "row_weights",
-            not bad_rows,
-            "" if not bad_rows else f"rows with weight != {spec.w}: {bad_rows}",
-        )
-    )
-    clauses.append(
-        ClauseResult(
-            "column_weights",
-            not bad_cols,
-            ""
-            if not bad_cols
-            else f"columns outside {{{spec.l}, {spec.l + 1}}}: {bad_cols}",
-        )
-    )
-    census_ok = not bad_cols and heavy == spec.heavy_columns
-    clauses.append(
-        ClauseResult(
-            "column_census",
-            census_ok,
-            f"{heavy} columns of weight {spec.l + 1}, expected {spec.heavy_columns}",
-        )
-    )
-
-    # every v <= w rows have rank v when the census of the rows to depth w
-    # counts no dependent set
-    dep = None
-    if any(_dependent_counts(P.data, spec.w, P.field)):
-        dep = _first_dependent_subset(P, spec.w)
-    clauses.append(
+    dep = _dependent_rows(P, spec.w)
+    return ValidationReport((
+        *_support_clauses(support_of(P), spec),
         ClauseResult(
             "rank_condition",
             dep is None,
-            ""
-            if dep is None
-            else f"rows {tuple(i + 1 for i in dep)} are linearly dependent",
-        )
-    )
-
-    return ValidationReport(tuple(clauses))
-
-
-def _census(
-    support: SupportPattern, spec: CodeSpec
-) -> tuple[list[int], list[int], int]:
-    """(bad rows, bad columns, heavy) of a support with spec.k rows: the
-    1-based rows not marking exactly w distinct columns of range(r), the
-    1-based columns whose marks are not l or l + 1, and the number of
-    columns with l + 1 marks."""
-    bad_rows = [
-        i + 1
-        for i, cols in enumerate(support)
-        if len(set(cols)) != spec.w or any(not 0 <= j < spec.r for j in cols)
-    ]
-    weights = [0] * spec.r
-    for cols in support:
-        for j in cols:
-            if 0 <= j < spec.r:
-                weights[j] += 1
-    bad_cols = [j + 1 for j, cw in enumerate(weights) if cw not in (spec.l, spec.l + 1)]
-    heavy = sum(1 for cw in weights if cw == spec.l + 1)
-    return bad_rows, bad_cols, heavy
+            "" if dep is None else f"rows {dep} are linearly dependent",
+        ),
+    ))
 
 
 def check_support(support: SupportPattern, spec: CodeSpec) -> list[str]:
-    """Return the list of violated support invariants (empty when valid)."""
+    """The failed support clauses of validate as "name: detail" (empty
+    when the support is valid)."""
     if len(support) != spec.k:
         return [f"{len(support)} rows, expected {spec.k}"]
-    bad_rows, bad_cols, heavy = _census(support, spec)
-    problems = [f"row {i} does not mark exactly {spec.w} columns" for i in bad_rows]
-    if bad_cols:
-        problems.append(f"columns with weight outside {{l, l+1}}: {bad_cols}")
-    elif heavy != spec.heavy_columns:
-        problems.append(
-            f"{heavy} columns of weight l+1, expected {spec.heavy_columns}"
-        )
-    return problems
+    return [
+        f"{c.name}: {c.detail}"
+        for c in _support_clauses(support, spec)
+        if not c.passed
+    ]
 
 
 def assign_coefficients(
@@ -354,9 +333,7 @@ def assign_coefficients(
         P = GfMatrix(data, spec.field)
         if not any(_dependent_counts(data, spec.w, spec.field)):
             return BlrcCode(P, spec, seed=seed)
-    last_dep = None
-    if P is not None:
-        last_dep = tuple(i + 1 for i in _first_dependent_subset(P, spec.w))
+    last_dep = None if P is None else _dependent_rows(P, spec.w)
     raise ConstructionError(
         f"rank condition unsatisfied after {max_attempts} coefficient draws;"
         f" last dependent row subset: {last_dep}"
@@ -545,37 +522,6 @@ def gopalan_bound(n: int, k: int, l: int) -> int:
     if l < 1:
         raise ValueError("locality must be at least 1")
     return n - k + 2 - math.ceil(k / l)
-
-
-def minimum_distance(code: SystematicCode) -> int:
-    """Verified minimum distance: the smallest f for which some f blocks
-    have dependent parity-check columns (an undecodable erasure pattern),
-    read off the census of those columns (linalg._dependent_counts).
-
-    A data block and the parities of its row are dependent, and so are
-    any r + 1 columns, so the census runs to depth min(r, 1 + the lightest
-    row weight of P) and finds no dependent set only when the distance is
-    r + 1.  For balanced LRCs the result is cross-checked against the
-    locality distance bound.
-    """
-    lightest = min(sum(1 for x in row if x) for row in code.P.data)
-    depth = min(code.r, 1 + lightest)
-    hcols = [code.parity_check_column(b) for b in range(1, code.n + 1)]
-    counts = _dependent_counts(hcols, depth, code.field)
-    d = next((f for f in range(1, depth + 1) if counts[f]), code.r + 1)
-    return _check_distance(code, d)
-
-
-def _check_distance(code: SystematicCode, d: int) -> int:
-    """d, once checked against the locality distance bound when code is
-    a balanced LRC."""
-    if isinstance(code, BlrcCode):
-        bound = gopalan_bound(code.n, code.k, effective_locality(code.spec))
-        if d > bound:
-            raise AssertionError(
-                f"measured distance {d} exceeds locality bound {bound}"
-            )
-    return d
 
 
 def effective_locality(spec: CodeSpec) -> int:

@@ -38,25 +38,6 @@ class ReferenceCode:
     code: SystematicCode | None = None
     structural_report: MetricsReport | None = None
 
-    def divergences(self) -> list[str]:
-        """Fields where the designed metrics differ from the structural
-        computation."""
-        if self.structural_report is None:
-            return []
-        out = []
-        for name in (
-            "storage_overhead",
-            "avg_repair_single",
-            "avg_repair_double",
-            "update_complexity",
-            "min_distance",
-        ):
-            a = getattr(self.report, name)
-            b = getattr(self.structural_report, name)
-            if abs(a - b) > 1e-9:
-                out.append(f"{name}: designed {a} vs structural {b}")
-        return out
-
 
 def build_rs(n: int, k: int, field: FieldSpec = GF256) -> ReferenceCode:
     """Systematic MDS code with a Cauchy parity block: P[i][j] =

@@ -88,8 +88,10 @@ def decode_stream(
         raise ShardError(f"shard payload lengths differ: {sorted(lengths)}")
     stripes = lengths.pop()
     k = code.k
-    if data_length > stripes * k:
-        raise ShardError("data length exceeds shard capacity")
+    if not 0 <= data_length <= stripes * k:
+        raise ShardError(
+            f"data length {data_length} outside shard capacity 0..{stripes * k}"
+        )
     erased = tuple(b for b in range(1, code.n + 1) if b not in shards)
     lost = [b for b in erased if b <= k]
     try:
@@ -202,6 +204,8 @@ def read_shard(path: Path) -> tuple[ShardHeader, bytes]:
             stripes=int(fields["stripes"]),
             data_length=int(fields["length"]),
         )
+        if header.stripes < 0 or header.data_length < 0:
+            raise ValueError("negative stripes or length")
     except (KeyError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise ShardError(f"{path}: bad shard header ({exc})") from None
     payload = blob[sep + 2 :]

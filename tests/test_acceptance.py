@@ -41,9 +41,10 @@ from blrc.analysis import (
     build_report,
     decodability_profile,
     minimal_repair,
+    minimum_distance,
     undecodable_counts,
 )
-from blrc.code import CodeSpec, minimum_distance, update_complexity
+from blrc.code import CodeSpec, update_complexity
 from blrc.codefile import write_code_text
 from blrc.gf import GF256
 from blrc.presets import (

@@ -191,6 +191,26 @@ def test_shard_header_that_is_not_ascii(capsys, code_file, tmp_path):
     assert err.startswith(f"error: {victim}: bad shard header")
 
 
+def test_negative_length_in_shard_headers_is_refused(capsys, tmp_path):
+    src = tmp_path / "a.bin"
+    src.write_bytes(bytes(range(256)) * 11 + bytes(184))  # 3,000 bytes
+    shard_dir = tmp_path / "shards"
+    rc, *_ = run(capsys, "encode", "blrc-15-10-w3", str(src),
+                 "--out-dir", str(shard_dir))
+    assert rc == 0
+    for shard in shard_dir.iterdir():
+        blob = shard.read_bytes()
+        shard.write_bytes(blob.replace(b"\nlength 3000\n", b"\nlength -7\n", 1))
+    out_path = tmp_path / "back.bin"
+    rc, out, err = run(capsys, "decode", "blrc-15-10-w3",
+                       "--shards", str(shard_dir), "--out", str(out_path))
+    assert rc == 1
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "bad shard header" in line
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_bundled_names_keep_their_digests(capsys, tmp_path, name):
     src = tmp_path / "a.bin"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blrc.analysis import minimum_distance
 from blrc.code import (
     BlrcCode,
     CodeSpec,
@@ -16,7 +17,6 @@ from blrc.code import (
     decode_erasure,
     encode,
     gopalan_bound,
-    minimum_distance,
     recovery_coefficients,
     recovery_steps,
     support_of,

@@ -16,15 +16,14 @@ import random
 
 import pytest
 
-from blrc.analysis import build_report, undecodable_counts
+from blrc.analysis import build_report, minimum_distance, undecodable_counts
 from blrc.code import (
     CodeSpec,
     ConstructionError,
     SystematicCode,
     UndecodableError,
-    _first_dependent_subset,
+    _dependent_rows,
     assign_coefficients,
-    minimum_distance,
     validate,
 )
 from blrc.gf import GF256, FieldSpec
@@ -169,8 +168,10 @@ def _dependent(vectors, subset, field):
 
 
 def _first_dependent_by_brute_force(vectors, max_size, field):
+    """The 1-based positions of the lexicographically first dependent
+    subset of at most max_size vectors, or None."""
     dependent = [
-        subset
+        tuple(i + 1 for i in subset)
         for size in range(1, max_size + 1)
         for subset in itertools.combinations(range(len(vectors)), size)
         if _dependent(vectors, subset, field)
@@ -194,7 +195,7 @@ def _check_against_brute_force(code):
     for vectors in (code.P.data, hcols):
         M = GfMatrix(vectors, field)
         for max_size in range(1, len(vectors) + 1):
-            assert _first_dependent_subset(M, max_size) == (
+            assert _dependent_rows(M, max_size) == (
                 _first_dependent_by_brute_force(vectors, max_size, field)
             ), (vectors, max_size)
     # the rank condition: the census's verdict, and the DFS's subset
@@ -204,8 +205,7 @@ def _check_against_brute_force(code):
         subset = _first_dependent_by_brute_force(code.P.data, w, field)
         assert clause.passed == (subset is None), (code.P.data, w)
         if subset is not None:
-            rows = tuple(i + 1 for i in subset)
-            assert clause.detail == f"rows {rows} are linearly dependent"
+            assert clause.detail == f"rows {subset} are linearly dependent"
     distance = min_distance_by_patterns(code)
     assert minimum_distance(code) == distance
     if distance == 1:  # a zero column, whose single repair is undefined

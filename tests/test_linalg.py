@@ -277,7 +277,7 @@ def systems(draw):
 
 @given(case=systems())
 @settings(max_examples=300, deadline=None)
-def test_rank_solve_and_span_coefficients_match_oracle(case):
+def test_rank_and_span_coefficients_match_oracle(case):
     field, data, target = case
     A = GfMatrix(data, field)
     assert rank(A) == oracle_rank(data, field)
@@ -285,13 +285,12 @@ def test_rank_solve_and_span_coefficients_match_oracle(case):
     assert span_coefficients(A, target) == want
 
 
-@pytest.mark.parametrize("call", [span_coefficients])
-def test_target_entry_outside_the_field_raises(call):
+def test_target_entry_outside_the_field_raises():
     field = FieldSpec(4, 0b10011)
     with pytest.raises(FieldMismatchError):
-        call(identity(2, field), [20, 0])
+        span_coefficients(identity(2, field), [20, 0])
     with pytest.raises(FieldMismatchError):
-        call(identity(2, field), [0, -1])
+        span_coefficients(identity(2, field), [0, -1])
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f"m{f.m}")

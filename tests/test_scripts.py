@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import blrc
+from blrc.search import random_support
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -37,11 +38,25 @@ def test_script_help_prints_usage_and_writes_nothing(script, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def _ab_pairs():
-    spec = importlib.util.spec_from_file_location("ab_pairs", SCRIPTS / "ab_pairs.py")
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_long_codes_measures_run_in_process():
+    # measure() imports the library inside itself, so --help cannot see a
+    # moved name; every measure runs here on a small code instead
+    long_codes = _script("long_codes")
+    shape = (12, 8, 2)
+    values = {
+        what: long_codes.measure(shape, what)[0] for what in long_codes.MEASURES
+    }
+    spec = blrc.CodeSpec(*shape)
+    code = blrc.assign_coefficients(random_support(spec, 1), spec, seed=1)
+    assert values["decode"] == "ok"
+    assert values["distance"] == str(blrc.minimum_distance(code))
 
 
 def _result_line(correct=True, failed=0, **metrics):
@@ -54,7 +69,7 @@ def _result_line(correct=True, failed=0, **metrics):
 
 
 def test_ab_pairs_summary_of_made_up_result_lines():
-    ab = _ab_pairs()
+    ab = _script("ab_pairs")
     parent = [(100, 2.0, 5), (110, 2.2, 5), (90, 1.8, 5), (120, 2.4, 5), (105, 1.0, 5)]
     change = [(150, 1.0, 5), (100, 2.0, 5), (135, 1.5, 5), (180, 2.4, 5), (160, 3.0, 5)]
     pairs = [
@@ -83,7 +98,7 @@ def test_ab_pairs_summary_of_made_up_result_lines():
 
 
 def test_ab_pairs_names_every_run_that_does_not_count():
-    ab = _ab_pairs()
+    ab = _script("ab_pairs")
     good = {**json.loads(_result_line(x=1.0)), "returncode": 0}
     assert ab.problems("run", good) == []
     wrong = {**json.loads(_result_line(correct=False, x=1.0)), "returncode": 1}

@@ -251,6 +251,12 @@ def test_shard_file_errors(tmp_path):
         write_shard(path, ShardHeader("d", 1, 5, 3), b"too-short")
 
 
+def test_negative_data_length_rejected(code_15_10):
+    shards = encode_stream(code_15_10, b"z" * 50)
+    with pytest.raises(ShardError):
+        decode_stream(code_15_10, dict(enumerate(shards, start=1)), -1)
+
+
 def test_mismatched_payload_lengths_rejected(code_15_10):
     shards = encode_stream(code_15_10, b"z" * 50)
     partial = {1: shards[0], 2: shards[1][:-1]}
